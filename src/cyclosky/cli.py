@@ -305,11 +305,17 @@ def run_pipeline(cfg: ScenarioConfig, out_dir) -> dict:
     out = Path(out_dir)
     for sub in ("spectra", "skymaps", "tracks"):
         (out / sub).mkdir(parents=True, exist_ok=True)
+        # A rerun with fewer frames must not leave an earlier run's frames.
+        for stale in (out / sub).glob("frame_*"):
+            if stale.is_file():
+                stale.unlink()
     scene = cfg.scene()
     snap = arraysim.synthesize(scene)
     np.save(out / "snapshot.npy", snap.data)
     with open(out / "snapshot_meta.json", "w") as fh:
-        json.dump({"sample_rate_hz": snap.sample_rate, "t0_s": snap.t0},
+        json.dump({"sample_rate_hz": snap.sample_rate, "t0_s": snap.t0,
+                   "positions_m": cfg.geometry.positions.tolist(),
+                   "reference_freq_hz": cfg.geometry.f0, "seed": cfg.seed},
                   fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -389,17 +395,33 @@ def _cmd_skymap(args):
         return 2
     try:
         data = np.load(Path(args.snapshot) / "snapshot.npy")
-        with open(Path(args.snapshot) / "snapshot_meta.json") as fh:
+        meta_path = Path(args.snapshot) / "snapshot_meta.json"
+        with open(meta_path) as fh:
             meta = json.load(fh)
+        # Image with the array that recorded the snapshot, not the one the
+        # scenario and --seed would build now.
+        missing = [k for k in ("positions_m", "reference_freq_hz", "seed")
+                   if k not in meta]
+        if missing:
+            print(f"snapshot error: {meta_path} lacks {', '.join(missing)};"
+                  " rerun `cyclosky run` to record the array geometry",
+                  file=sys.stderr)
+            return 3
+        if args.seed is not None and args.seed != meta["seed"]:
+            print(f"snapshot error: {meta_path} was made with seed"
+                  f" {meta['seed']}, not --seed {args.seed}", file=sys.stderr)
+            return 3
+        geom = arraysim.ArrayGeometry(np.array(meta["positions_m"], dtype=float),
+                                      meta["reference_freq_hz"])
         snap = arraysim.ArraySnapshot(data, meta["sample_rate_hz"], meta["t0_s"])
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.alpha is None:
-            smap = imaging.skymap(cyclospec.corr_matrix(snap), cfg.geometry,
+            smap = imaging.skymap(cyclospec.corr_matrix(snap), geom,
                                   cfg.skymap_grid)
         else:
             ra = cyclospec.cyclic_corr_matrix(snap, args.alpha, args.conjugate)
-            smap = imaging.cyclic_skymap(ra, cfg.geometry, cfg.skymap_grid)
+            smap = imaging.cyclic_skymap(ra, geom, cfg.skymap_grid)
         imaging.write_skymap_csv(smap, out / "skymap.csv")
         imaging.write_skymap_pgm(smap, out / "skymap.pgm")
     except Exception:
@@ -459,7 +481,8 @@ def build_parser():
     sky.add_argument("--alpha", type=float,
                      help="cyclic frequency (omit for classical map)")
     sky.add_argument("--conjugate", action="store_true")
-    sky.add_argument("--seed", type=int)
+    sky.add_argument("--seed", type=int,
+                     help="must match the seed the snapshot was made with")
     sky.add_argument("--out", required=True)
     sky.set_defaults(func=_cmd_skymap)
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arraysim import ArrayGeometry, DirectionLM, steering_vector
+from .arraysim import C_LIGHT, ArrayGeometry, DirectionLM, steering_vector
 
 KIND_CLASSICAL = "classical"
 KIND_CYCLIC = "cyclic"
@@ -55,14 +55,40 @@ class Skymap:
     alpha: float = 0.0
 
 
-def _steering_matrix(geom: ArrayGeometry, grid: SkymapGrid):
-    ll, mm = np.meshgrid(grid.l_axis(), grid.m_axis(), indexing="ij")
-    l = ll.ravel()
-    m = mm.ravel()
-    x = geom.positions[:, 0][:, None]
-    y = geom.positions[:, 1][:, None]
-    from .arraysim import C_LIGHT
-    return np.exp(-2j * np.pi * (geom.f0 / C_LIGHT) * (x * l[None, :] + y * m[None, :]))
+# The one (geometry, grid) operator in use: key -> (A, conj(A), visible).
+# Every map of a run shares it; a single entry bounds the memory to one
+# operator, 2 * M * P complex128 values.
+_operator_cache = {}
+
+
+def _operator(geom: ArrayGeometry, grid: SkymapGrid):
+    """Steering matrix A (M x P), conj(A) and the visibility mask, built once
+    per (geometry, grid) value. The arrays are read-only because they are
+    shared by every map with the same key."""
+    key = (np.asarray(geom.positions, dtype=float).tobytes(), geom.f0,
+           grid.l_min, grid.l_max, grid.m_min, grid.m_max, grid.n_l, grid.n_m)
+    op = _operator_cache.get(key)
+    if op is None:
+        # Free the old operator first, so that two never coexist.
+        _operator_cache.clear()
+        ll, mm = np.meshgrid(grid.l_axis(), grid.m_axis(), indexing="ij")
+        x = geom.positions[:, 0][:, None]
+        y = geom.positions[:, 1][:, None]
+        a = np.exp(-2j * np.pi * (geom.f0 / C_LIGHT)
+                   * (x * ll.ravel()[None, :] + y * mm.ravel()[None, :]))
+        op = (a, a.conj(), grid.mask())
+        for arr in op:
+            arr.flags.writeable = False
+        _operator_cache[key] = op
+    return op
+
+
+def _quadratic_form(values, geom: ArrayGeometry, grid: SkymapGrid, conjugate):
+    """a^H R b per pixel, with b = conj(a) for the conjugate estimator and
+    b = a otherwise; also returns the visibility mask."""
+    a, a_conj, visible = _operator(geom, grid)
+    right = a_conj if conjugate else a
+    return np.einsum("mp,mp->p", a_conj, values @ right), visible
 
 
 def skymap(r_matrix, geom: ArrayGeometry, grid: SkymapGrid) -> Skymap:
@@ -70,11 +96,10 @@ def skymap(r_matrix, geom: ArrayGeometry, grid: SkymapGrid) -> Skymap:
     values = r_matrix.values
     if values.shape[0] != geom.n_antennas:
         raise ValueError("covariance and geometry dimensions disagree")
-    a = _steering_matrix(geom, grid)
-    m = geom.n_antennas
-    q = np.real(np.einsum("mp,mp->p", a.conj(), values @ a)) / m ** 2
+    form, visible = _quadratic_form(values, geom, grid, False)
+    q = np.real(form) / geom.n_antennas ** 2
     q = np.clip(q, 0.0, None).reshape(grid.n_l, grid.n_m)
-    q[~grid.mask()] = 0.0
+    q[~visible] = 0.0
     return Skymap(grid, q, KIND_CLASSICAL)
 
 
@@ -84,12 +109,10 @@ def cyclic_skymap(ra_matrix, geom: ArrayGeometry, grid: SkymapGrid) -> Skymap:
     values = ra_matrix.values
     if values.shape[0] != geom.n_antennas:
         raise ValueError("cyclic matrix and geometry dimensions disagree")
-    a = _steering_matrix(geom, grid)
-    right = a.conj() if ra_matrix.conjugate else a
-    m = geom.n_antennas
-    q = np.abs(np.einsum("mp,mp->p", a.conj(), values @ right)) / m ** 2
+    form, visible = _quadratic_form(values, geom, grid, ra_matrix.conjugate)
+    q = np.abs(form) / geom.n_antennas ** 2
     q = q.reshape(grid.n_l, grid.n_m)
-    q[~grid.mask()] = 0.0
+    q[~visible] = 0.0
     kind = KIND_CONJ_CYCLIC if ra_matrix.conjugate else KIND_CYCLIC
     return Skymap(grid, q, kind, ra_matrix.alpha)
 

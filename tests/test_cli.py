@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cyclosky.cli import main
-from cyclosky.cyclospec import read_spectrum_csv
-from cyclosky.imaging import read_skymap_csv
+from cyclosky.arraysim import ArraySnapshot
+from cyclosky.cli import load_scenario, main
+from cyclosky.cyclospec import cyclic_corr_matrix, read_spectrum_csv
+from cyclosky.imaging import cyclic_skymap, read_skymap_csv
 from cyclosky.scheduling import read_flag_mask_csv, read_schedule_json
 from cyclosky.tracking import read_frame_log
 
@@ -135,6 +136,46 @@ class TestRun:
         for rel in files:
             assert filecmp.cmp(out_a / rel, out_b / rel, shallow=False), rel
 
+    def test_other_scene_between_reruns(self, scenario, tmp_path):
+        # Scene B (another seed, so another array) runs between two runs of
+        # scene A in one process; nothing of B may reach A's second run.
+        run = ["run", "--config", str(scenario), "--out"]
+        assert main(run + [str(tmp_path / "a1")]) == 0
+        assert main(run + [str(tmp_path / "b"), "--seed", "8"]) == 0
+        assert main(run + [str(tmp_path / "a2")]) == 0
+        assert tree_files(tmp_path / "a1") == tree_files(tmp_path / "a2")
+        for rel in tree_files(tmp_path / "a1"):
+            if rel.name != "manifest.json":
+                assert filecmp.cmp(tmp_path / "a1" / rel, tmp_path / "a2" / rel,
+                                   shallow=False), rel
+        assert not filecmp.cmp(tmp_path / "a1" / "skymaps" / "frame_0000_classical.csv",
+                               tmp_path / "b" / "skymaps" / "frame_0000_classical.csv",
+                               shallow=False)
+
+    def test_rerun_with_fewer_frames_leaves_no_stale_frames(self, tmp_path):
+        def frames_doc(n_frames):
+            doc = copy.deepcopy(SMALL_SCENARIO)
+            doc["scene"]["n_samples"] = 256 * n_frames
+            doc["frames"]["length"] = 256
+            return write_scenario(tmp_path, doc, f"scene{n_frames}.json")
+
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(frames_doc(6)), "--out", str(out)]) == 0
+        assert (out / "tracks" / "frame_0005.json").exists()
+        (out / "skymaps" / "notes.txt").write_text("kept")
+        assert main(["run", "--config", str(frames_doc(3)), "--out", str(out)]) == 0
+        fresh = tmp_path / "fresh"
+        assert main(["run", "--config", str(frames_doc(3)), "--out", str(fresh)]) == 0
+        kept = tree_files(out) - {Path("skymaps/notes.txt")}
+        assert (out / "skymaps" / "notes.txt").read_text() == "kept"
+        assert kept == tree_files(fresh)
+        frames = {p.name[:10] for p in kept if p.name.startswith("frame_")}
+        assert frames == {"frame_0000", "frame_0001", "frame_0002"}
+
+
+def tree_files(root):
+    return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+
 
 class TestSkymapCommand:
     def test_classical_and_cyclic(self, scenario, tmp_path):
@@ -156,6 +197,53 @@ class TestSkymapCommand:
         i, j = np.unravel_index(np.argmax(cmap.power), cmap.power.shape)
         assert abs(cmap.grid.l_axis()[i] - 0.4) < 0.1
         assert abs(cmap.grid.m_axis()[j] + 0.3) < 0.1
+
+    def test_geometry_comes_from_snapshot(self, tmp_path):
+        # The run overrides the scenario seed, so the array it simulates
+        # differs from the one the scenario alone builds.
+        doc = copy.deepcopy(SMALL_SCENARIO)
+        doc["seed"] = 0
+        path = write_scenario(tmp_path, doc)
+        run_out = tmp_path / "run_out"
+        assert main(["run", "--config", str(path), "--out", str(run_out),
+                     "--seed", "7"]) == 0
+        sky_out = tmp_path / "sky"
+        assert main(["skymap", "--config", str(path), "--snapshot", str(run_out),
+                     "--alpha", "125000", "--conjugate", "--out", str(sky_out)]) == 0
+        cmap = read_skymap_csv(sky_out / "skymap.csv")
+
+        cfg = load_scenario(path, seed_override=7)
+        meta = json.loads((run_out / "snapshot_meta.json").read_text())
+        assert meta["seed"] == 7
+        assert np.array_equal(meta["positions_m"], cfg.geometry.positions)
+        snap = ArraySnapshot(np.load(run_out / "snapshot.npy"),
+                             meta["sample_rate_hz"], meta["t0_s"])
+        expected = cyclic_skymap(cyclic_corr_matrix(snap, 125000.0, True),
+                                 cfg.geometry, cfg.skymap_grid)
+        assert np.array_equal(cmap.power, expected.power)
+        i, j = np.unravel_index(np.argmax(cmap.power), cmap.power.shape)
+        assert abs(cmap.grid.l_axis()[i] - 0.4) < 0.1
+        assert abs(cmap.grid.m_axis()[j] + 0.3) < 0.1
+
+    def test_snapshot_seed_mismatch_is_runtime_error(self, scenario, tmp_path, capsys):
+        run_out = tmp_path / "run_out"
+        assert main(["run", "--config", str(scenario), "--out", str(run_out)]) == 0
+        assert main(["skymap", "--config", str(scenario), "--snapshot", str(run_out),
+                     "--seed", "8", "--out", str(tmp_path / "sky")]) == 3
+        assert "seed 7" in capsys.readouterr().err
+
+    def test_snapshot_without_geometry_is_runtime_error(self, scenario, tmp_path,
+                                                        capsys):
+        run_out = tmp_path / "run_out"
+        assert main(["run", "--config", str(scenario), "--out", str(run_out)]) == 0
+        meta_path = run_out / "snapshot_meta.json"
+        meta = json.loads(meta_path.read_text())
+        del meta["positions_m"]
+        meta_path.write_text(json.dumps(meta))
+        assert main(["skymap", "--config", str(scenario), "--snapshot", str(run_out),
+                     "--out", str(tmp_path / "sky")]) == 3
+        assert "positions_m" in capsys.readouterr().err
+        assert not (tmp_path / "sky" / "skymap.csv").exists()
 
     def test_missing_snapshot_is_runtime_error(self, scenario, tmp_path):
         assert main(["skymap", "--config", str(scenario),

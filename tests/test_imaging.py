@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from cyclosky.arraysim import (ArraySnapshot, DirectionLM, default_geometry,
-                               steering_vector)
+from cyclosky import imaging
+from cyclosky.arraysim import (C_LIGHT, ArrayGeometry, ArraySnapshot,
+                               DirectionLM, default_geometry, steering_vector)
 from cyclosky.cyclospec import CorrMatrix, CyclicCorrMatrix, cyclic_corr_matrix
 from cyclosky.imaging import (Skymap, SkymapGrid, cyclic_skymap, locate_peaks,
                               read_skymap_csv, read_skymap_pgm, skymap,
@@ -83,6 +84,90 @@ class TestCyclicSkymap:
         ra = cyclic_corr_matrix(snap, 1.7e5)
         smap = cyclic_skymap(ra, geom, grid)
         assert smap.power.max() < 5.0 / np.sqrt(n)
+
+
+def fresh_map(matrix, geom, grid):
+    """Reference map from an operator built for this call alone."""
+    ll, mm = np.meshgrid(grid.l_axis(), grid.m_axis(), indexing="ij")
+    x = geom.positions[:, 0][:, None]
+    y = geom.positions[:, 1][:, None]
+    a = np.exp(-2j * np.pi * (geom.f0 / C_LIGHT)
+               * (x * ll.ravel()[None, :] + y * mm.ravel()[None, :]))
+    m = geom.n_antennas
+    if isinstance(matrix, CorrMatrix):
+        form = np.einsum("mp,mp->p", a.conj(), matrix.values @ a)
+        q = np.clip(np.real(form) / m ** 2, 0.0, None)
+    else:
+        right = a.conj() if matrix.conjugate else a
+        q = np.abs(np.einsum("mp,mp->p", a.conj(), matrix.values @ right)) / m ** 2
+    q = q.reshape(grid.n_l, grid.n_m)
+    q[~grid.mask()] = 0.0
+    return q
+
+
+def any_map(matrix, geom, grid):
+    if isinstance(matrix, CorrMatrix):
+        return skymap(matrix, geom, grid).power
+    return cyclic_skymap(matrix, geom, grid).power
+
+
+def random_matrices(m, seed=5):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((m, 3 * m)) + 1j * rng.standard_normal((m, 3 * m))
+    w = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    return [CorrMatrix(z @ z.conj().T / (3 * m), 3 * m),
+            CyclicCorrMatrix(w, 1.25e5, False, 3 * m),
+            CyclicCorrMatrix(w + w.T, 1.25e5, True, 3 * m)]
+
+
+class TestOperatorCache:
+    def test_cached_map_equals_fresh_operator(self, geom, grid):
+        for matrix in random_matrices(geom.n_antennas):
+            first = any_map(matrix, geom, grid)
+            again = any_map(matrix, geom, grid)
+            expected = fresh_map(matrix, geom, grid)
+            assert np.array_equal(first, expected)
+            assert np.array_equal(again, expected)
+
+    def test_alternating_geometries(self, geom, grid):
+        other = default_geometry(16, 1.42e9, seed=3)
+        matrices = random_matrices(16)
+        for _ in range(2):
+            for g in (geom, other):
+                for matrix in matrices:
+                    assert np.array_equal(any_map(matrix, g, grid),
+                                          fresh_map(matrix, g, grid))
+        assert not np.array_equal(any_map(matrices[0], geom, grid),
+                                  any_map(matrices[0], other, grid))
+
+    def test_alternating_grids(self, geom, grid):
+        other = SkymapGrid(-0.5, 0.5, -0.25, 0.75, grid.n_l, grid.n_m)
+        matrices = random_matrices(geom.n_antennas)
+        for _ in range(2):
+            for g in (grid, other):
+                for matrix in matrices:
+                    assert np.array_equal(any_map(matrix, geom, g),
+                                          fresh_map(matrix, geom, g))
+
+    def test_positions_changed_in_place(self, grid):
+        geom = default_geometry(16, 1.42e9, seed=2)
+        matrix = random_matrices(16)[0]
+        before = any_map(matrix, geom, grid)
+        geom.positions[0] += 0.05
+        after = any_map(matrix, geom, grid)
+        assert not np.array_equal(before, after)
+        rebuilt = ArrayGeometry(geom.positions.copy(), geom.f0)
+        assert np.array_equal(after, fresh_map(matrix, rebuilt, grid))
+
+    def test_one_read_only_entry(self, geom, grid):
+        op = imaging._operator(geom, grid)
+        assert imaging._operator(geom, grid) is op
+        for arr in op:
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            op[0][0, 0] = 0.0
+        imaging._operator(default_geometry(16, 1.42e9, seed=3), grid)
+        assert len(imaging._operator_cache) == 1
 
 
 class TestLocatePeaks:
