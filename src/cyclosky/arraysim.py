@@ -124,6 +124,9 @@ class ArraySnapshot:
         self.data = np.asarray(self.data, dtype=np.complex128)
         if self.data.ndim != 2:
             raise ValueError("data must be an (M, N) matrix")
+        bad = self.data.size - np.count_nonzero(np.isfinite(self.data))
+        if bad:
+            raise ValueError(f"data has {bad} non-finite samples")
 
     @property
     def n_antennas(self) -> int:

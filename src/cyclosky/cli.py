@@ -301,6 +301,17 @@ def _analyze_frame(cfg, frame_snap, frame_time, out, frame_idx):
     return detections
 
 
+def _write_flag_mask(cfg, tracks, sched, out):
+    """Write flagmask.csv, or remove an earlier one when channels are unset."""
+    path = out / "flagmask.csv"
+    if cfg.channels is None:
+        path.unlink(missing_ok=True)
+        return
+    mask = scheduling.flag_mask(tracks, sched, cfg.site, cfg.programs,
+                                cfg.sched_cfg, cfg.channels)
+    scheduling.write_flag_mask_csv(mask, path)
+
+
 def run_pipeline(cfg: ScenarioConfig, out_dir) -> dict:
     out = Path(out_dir)
     for sub in ("spectra", "skymaps", "tracks"):
@@ -336,10 +347,7 @@ def run_pipeline(cfg: ScenarioConfig, out_dir) -> dict:
                                 cfg.mode, cfg.sched_cfg)
     scheduling.write_schedule_json(sched, cfg.site, cfg.programs,
                                    out / "schedule.json")
-    if cfg.channels is not None:
-        mask = scheduling.flag_mask(tracks, sched, cfg.site, cfg.programs,
-                                    cfg.sched_cfg, cfg.channels)
-        scheduling.write_flag_mask_csv(mask, out / "flagmask.csv")
+    _write_flag_mask(cfg, tracks, sched, out)
     return {"n_frames": cfg.n_frames, "n_tracks": len(tracks),
             "scheduled": sorted(sched.starts)}
 
@@ -413,7 +421,13 @@ def _cmd_skymap(args):
             return 3
         geom = arraysim.ArrayGeometry(np.array(meta["positions_m"], dtype=float),
                                       meta["reference_freq_hz"])
-        snap = arraysim.ArraySnapshot(data, meta["sample_rate_hz"], meta["t0_s"])
+        try:
+            snap = arraysim.ArraySnapshot(data, meta["sample_rate_hz"],
+                                          meta["t0_s"])
+        except ValueError as exc:
+            print(f"snapshot error: {Path(args.snapshot) / 'snapshot.npy'}: {exc}",
+                  file=sys.stderr)
+            return 3
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.alpha is None:
@@ -445,10 +459,7 @@ def _cmd_schedule(args):
         out.mkdir(parents=True, exist_ok=True)
         scheduling.write_schedule_json(sched, cfg.site, cfg.programs,
                                        out / "schedule.json")
-        if cfg.channels is not None:
-            mask = scheduling.flag_mask(tracks, sched, cfg.site, cfg.programs,
-                                        cfg.sched_cfg, cfg.channels)
-            scheduling.write_flag_mask_csv(mask, out / "flagmask.csv")
+        _write_flag_mask(cfg, tracks, sched, out)
     except Exception:
         traceback.print_exc()
         return 3

@@ -122,7 +122,10 @@ def cyclic_spectrum(snap: ArraySnapshot, alphas, conjugate=False,
     """Scan the Frobenius norm of the cyclic matrix over an alpha grid.
 
     method="fft" requires the grid to sit on multiples of sample_rate/N and
-    matches the direct estimator to FFT_MATCH_RTOL.
+    matches the direct estimator to FFT_MATCH_RTOL. It transforms only the
+    pairs j >= i, M(M+1)/2 FFTs, because the rest follow by symmetry: with
+    F_ij = FFT(z_i z_j^*), the non-conjugate |R_ji| at bin k is |F_ij[-k]| / N;
+    the conjugate matrix is symmetric, so |R_ji| = |R_ij|.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     if alphas.size == 0:
@@ -138,11 +141,20 @@ def cyclic_spectrum(snap: ArraySnapshot, alphas, conjugate=False,
         if bins is None:
             raise ValueError("fft method needs alphas on the sample_rate/N grid")
         zc = z if conjugate else z.conj()
-        mags2 = np.zeros(alphas.size)
+        # |F|^2 summed over pairs, kept as interleaved (re^2, im^2) per bin.
+        diag = np.zeros(2 * n)
+        off = np.zeros(2 * n)
         for row in range(snap.n_antennas):
-            f = np.fft.fft(z[row] * zc, axis=1) / n
-            mags2 += np.sum(np.abs(f[:, bins]) ** 2, axis=0)
-        mags = np.sqrt(mags2)
+            f = np.fft.fft(z[row] * zc[row:], axis=1).view(np.float64)
+            diag += f[0] * f[0]
+            off += np.einsum("ij,ij->j", f[1:], f[1:])
+        diag = diag[0::2] + diag[1::2]
+        off = off[0::2] + off[1::2]
+        if conjugate:
+            power = diag[bins] + 2.0 * off[bins]
+        else:
+            power = diag[bins] + off[bins] + off[(-bins) % n]
+        mags = np.sqrt(power) / n
     elif method == "direct":
         mags = np.empty(alphas.size)
         for i, a in enumerate(alphas):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cyclosky.arraysim import (C_LIGHT, MOTION_BLOCK, ArrayGeometry, DirectionLM,
-                               Scene, SourceSpec, TrajectorySpec,
+from cyclosky.arraysim import (C_LIGHT, MOTION_BLOCK, ArrayGeometry, ArraySnapshot,
+                               DirectionLM, Scene, SourceSpec, TrajectorySpec,
                                default_geometry, steering_vector, synthesize)
 
 
@@ -131,3 +131,13 @@ class TestSynthesize:
     def test_rejects_zero_samples(self, small_geom):
         with pytest.raises(ValueError):
             Scene(small_geom, [], 0, 1e6, 1.0, seed=0)
+
+
+class TestSnapshot:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_rejects_non_finite_samples(self, bad):
+        data = np.ones((3, 64), dtype=np.complex128)
+        data[1, 5] = bad
+        data[2, 9] = bad
+        with pytest.raises(ValueError, match="2 non-finite samples"):
+            ArraySnapshot(data, 1e6)

@@ -152,6 +152,19 @@ class TestRun:
                                tmp_path / "b" / "skymaps" / "frame_0000_classical.csv",
                                shallow=False)
 
+    def test_rerun_without_channels_removes_flag_mask(self, scenario, tmp_path):
+        doc = copy.deepcopy(SMALL_SCENARIO)
+        del doc["scheduler"]["channels"]
+        plain = write_scenario(tmp_path, doc, "plain.json")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(scenario), "--out", str(out)]) == 0
+        assert (out / "flagmask.csv").exists()
+        assert main(["run", "--config", str(plain), "--out", str(out)]) == 0
+        assert not (out / "flagmask.csv").exists()
+        fresh = tmp_path / "fresh"
+        assert main(["run", "--config", str(plain), "--out", str(fresh)]) == 0
+        assert tree_files(out) == tree_files(fresh)
+
     def test_rerun_with_fewer_frames_leaves_no_stale_frames(self, tmp_path):
         def frames_doc(n_frames):
             doc = copy.deepcopy(SMALL_SCENARIO)
@@ -245,6 +258,17 @@ class TestSkymapCommand:
         assert "positions_m" in capsys.readouterr().err
         assert not (tmp_path / "sky" / "skymap.csv").exists()
 
+    def test_non_finite_snapshot_is_runtime_error(self, scenario, tmp_path, capsys):
+        run_out = tmp_path / "run_out"
+        assert main(["run", "--config", str(scenario), "--out", str(run_out)]) == 0
+        data = np.load(run_out / "snapshot.npy")
+        data[3, 100] = np.nan
+        np.save(run_out / "snapshot.npy", data)
+        assert main(["skymap", "--config", str(scenario), "--snapshot", str(run_out),
+                     "--out", str(tmp_path / "sky")]) == 3
+        assert "1 non-finite samples" in capsys.readouterr().err
+        assert not (tmp_path / "sky" / "skymap.csv").exists()
+
     def test_missing_snapshot_is_runtime_error(self, scenario, tmp_path):
         assert main(["skymap", "--config", str(scenario),
                      "--snapshot", str(tmp_path / "nothing"),
@@ -262,6 +286,20 @@ class TestScheduleCommand:
         sched = read_schedule_json(sch_out / "schedule.json")
         assert len(sched.assignments) == 4
         assert (sch_out / "flagmask.csv").exists()
+
+    def test_schedule_without_channels_removes_flag_mask(self, scenario, tmp_path):
+        run_out = tmp_path / "run_out"
+        assert main(["run", "--config", str(scenario), "--out", str(run_out)]) == 0
+        logs = sorted(run_out.glob("tracks/frame_*.json"))
+        doc = copy.deepcopy(SMALL_SCENARIO)
+        del doc["scheduler"]["channels"]
+        plain = write_scenario(tmp_path, doc, "plain.json")
+        sch_out = tmp_path / "sch"
+        for config in (scenario, plain):
+            assert main(["schedule", "--config", str(config),
+                         "--tracks", str(logs[-1]), "--out", str(sch_out)]) == 0
+        assert not (sch_out / "flagmask.csv").exists()
+        assert (sch_out / "schedule.json").exists()
 
     def test_mode_override_exact(self, scenario, tmp_path):
         run_out = tmp_path / "run_out"

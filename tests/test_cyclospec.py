@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclosky.arraysim import (ArraySnapshot, DirectionLM, Scene, SourceSpec,
                                default_geometry, steering_vector, synthesize)
-from cyclosky.cyclospec import (corr_matrix, cyclic_corr_matrix, cyclic_spectrum,
-                                detect_cyclic_freqs, fft_alpha_grid,
+from cyclosky.cyclospec import (FFT_MATCH_RTOL, corr_matrix, cyclic_corr_matrix,
+                                cyclic_spectrum, detect_cyclic_freqs, fft_alpha_grid,
                                 read_matrix_csv, read_spectrum_csv,
                                 write_matrix_csv, write_spectrum_csv)
 
@@ -119,6 +121,43 @@ class TestCyclicSpectrum:
             direct = cyclic_spectrum(snap, grid, conjugate, method="direct")
             assert np.allclose(fft.magnitudes, direct.magnitudes,
                                rtol=1e-10, atol=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 6), n=st.integers(16, 300), conjugate=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_fft_matches_direct_on_any_grid(self, m, n, conjugate, seed, data):
+        # Any on-grid subset, negative alpha included, exercises both the
+        # bin k and the mirrored bin -k of the upper-triangle scan.
+        ks = data.draw(st.lists(st.integers(-(n - 1), n - 1), min_size=1,
+                                max_size=12, unique=True))
+        snap = noise_snapshot(m, n, seed)
+        alphas = np.sort(np.array(ks)) * snap.sample_rate / n
+        fft = cyclic_spectrum(snap, alphas, conjugate, method="fft")
+        direct = cyclic_spectrum(snap, alphas, conjugate, method="direct")
+        assert np.array_equal(fft.alphas, direct.alphas)
+        assert np.allclose(fft.magnitudes, direct.magnitudes,
+                           rtol=FFT_MATCH_RTOL, atol=1e-13)
+
+    def test_single_antenna(self):
+        snap = noise_snapshot(1, 64, seed=4)
+        z = snap.data[0]
+        for conjugate in (False, True):
+            grid = fft_alpha_grid(snap, conjugate)
+            spec = cyclic_spectrum(snap, grid, conjugate, method="fft")
+            prod = z * (z if conjugate else z.conj())
+            expected = np.abs(np.fft.fft(prod))[:grid.size] / snap.n_samples
+            assert np.allclose(spec.magnitudes, expected, rtol=1e-12)
+            direct = cyclic_spectrum(snap, grid, conjugate, method="direct")
+            assert np.allclose(spec.magnitudes, direct.magnitudes,
+                               rtol=FFT_MATCH_RTOL, atol=1e-13)
+
+    def test_rescan_bit_identical(self):
+        snap = noise_snapshot(7, 500, seed=21)
+        for conjugate in (False, True):
+            grid = fft_alpha_grid(snap, conjugate)
+            first = cyclic_spectrum(snap, grid, conjugate)
+            again = cyclic_spectrum(snap, grid, conjugate)
+            assert np.array_equal(first.magnitudes, again.magnitudes)
 
     def test_bpsk_conjugate_argmax_at_baud(self):
         fs = 1e6
