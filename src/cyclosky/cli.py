@@ -69,9 +69,17 @@ def _parse_source(raw, path):
              path + ".kind", f"unknown source kind {kind!r}")
     direction = _parse_direction(_get(raw, "direction", path, required=True),
                                  path + ".direction")
+    snr_db = _get(raw, "snr_db", path, required=True)
+    try:
+        # Synthesis scales the noise power by 10 ** (snr_db / 10).
+        usable = 0.0 < 10.0 ** (float(snr_db) / 10.0) < np.inf
+    except (TypeError, ValueError, OverflowError):
+        usable = False
+    _require(usable, path + ".snr_db",
+             f"must give a positive finite power 10**(snr_db/10), not {snr_db!r}")
     return arraysim.SourceSpec(
         kind=kind,
-        snr_db=float(_get(raw, "snr_db", path, required=True)),
+        snr_db=float(snr_db),
         direction=direction,
         baud_rate=raw.get("baud_rate_hz"),
         carrier_offset=float(raw.get("carrier_offset_hz", 0.0)),

@@ -6,7 +6,6 @@ alpha. Stationary inputs average to zero at alpha != 0; a cyclostationary
 source leaves a rank-1 matrix carrying its steering vector.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,51 +192,29 @@ def detect_cyclic_freqs(spec: CyclicSpectrum):
 
 
 def write_spectrum_csv(spec: CyclicSpectrum, path):
+    """Two header lines, then `alpha,magnitude` rows in `%.17g`; every value
+    of the file is formatted by a single `%` call."""
+    pairs = np.column_stack((spec.alphas, spec.magnitudes)).ravel().tolist()
     with open(path, "w", newline="") as fh:
         fh.write(f"# conjugate={str(spec.conjugate).lower()}\n")
         fh.write("alpha_hz,magnitude\n")
-        for a, m in zip(spec.alphas, spec.magnitudes):
-            fh.write(f"{a:.17g},{m:.17g}\n")
+        fh.write("%.17g,%.17g\n" * spec.alphas.size % tuple(pairs))
 
 
 def read_spectrum_csv(path) -> CyclicSpectrum:
     with open(path, newline="") as fh:
         first = fh.readline().strip()
-        conjugate = first == "# conjugate=true"
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["alpha_hz", "magnitude"]:
-            raise ValueError(f"unexpected spectrum header {header}")
-        rows = [(float(a), float(m)) for a, m in reader]
-    alphas, mags = zip(*rows)
-    return CyclicSpectrum(np.array(alphas), np.array(mags), conjugate)
-
-
-def write_matrix_csv(matrix, path):
-    """Real,imag interleaved pairs, row-major; works for both matrix types."""
-    values = matrix.values
-    alpha = getattr(matrix, "alpha", 0.0)
-    conjugate = getattr(matrix, "conjugate", False)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# alpha_hz={alpha:.17g} conjugate={str(conjugate).lower()}"
-                 f" n_samples={matrix.n_samples}\n")
-        for row in values:
-            cells = []
-            for v in row:
-                cells.append(f"{v.real:.17g}")
-                cells.append(f"{v.imag:.17g}")
-            fh.write(",".join(cells) + "\n")
-
-
-def read_matrix_csv(path) -> CyclicCorrMatrix:
-    with open(path, newline="") as fh:
-        meta = fh.readline().strip().lstrip("# ").split()
-        fields = dict(kv.split("=") for kv in meta)
-        rows = []
-        for line in fh:
-            nums = [float(x) for x in line.strip().split(",")]
-            rows.append([complex(r, i) for r, i in zip(nums[::2], nums[1::2])])
-    return CyclicCorrMatrix(np.array(rows, dtype=np.complex128),
-                            float(fields["alpha_hz"]),
-                            fields["conjugate"] == "true",
-                            int(fields["n_samples"]))
+        header = fh.readline().strip()
+        lines = fh.read().splitlines()
+    if first not in ("# conjugate=true", "# conjugate=false"):
+        raise ValueError(f"{path}: spectrum lacks its '# conjugate=' line")
+    if header != "alpha_hz,magnitude":
+        raise ValueError(f"{path}: unexpected spectrum header {header!r}")
+    if not lines:
+        raise ValueError(f"{path}: spectrum has no rows")
+    try:
+        alphas, mags = np.array([[float(x) for x in line.split(",")]
+                                 for line in lines]).T
+    except ValueError as exc:
+        raise ValueError(f"{path}: unreadable spectrum rows ({exc})") from None
+    return CyclicSpectrum(alphas, mags, first == "# conjugate=true")

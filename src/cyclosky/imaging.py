@@ -175,20 +175,33 @@ def locate_peaks(smap: Skymap, max_peaks: int):
 
 
 def write_skymap_csv(smap: Skymap, path):
+    """Header line, then one row of `%.17g` values per l; every value of the
+    file is formatted by a single `%` call."""
+    g = smap.grid
+    n_l, n_m = smap.power.shape
+    row = ",".join(["%.17g"] * n_m) + "\n"
     with open(path, "w", newline="") as fh:
-        g = smap.grid
         fh.write(f"# kind={smap.kind} alpha_hz={smap.alpha:.17g}"
                  f" l_min={g.l_min:.17g} l_max={g.l_max:.17g}"
                  f" m_min={g.m_min:.17g} m_max={g.m_max:.17g}\n")
-        for row in smap.power:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.write(row * n_l % tuple(smap.power.ravel().tolist()))
 
 
 def read_skymap_csv(path) -> Skymap:
     with open(path, newline="") as fh:
-        meta = dict(kv.split("=") for kv in fh.readline().strip().lstrip("# ").split())
-        rows = [[float(x) for x in line.strip().split(",")] for line in fh]
-    power = np.array(rows)
+        header = fh.readline().strip().lstrip("# ").split()
+        lines = fh.read().splitlines()
+    meta = dict(kv.partition("=")[::2] for kv in header)
+    missing = [k for k in ("kind", "alpha_hz", "l_min", "l_max", "m_min", "m_max")
+               if not meta.get(k)]
+    if missing:
+        raise ValueError(f"{path}: skymap header lacks {', '.join(missing)}")
+    if not lines:
+        raise ValueError(f"{path}: skymap has no rows")
+    try:
+        power = np.array([[float(x) for x in line.split(",")] for line in lines])
+    except ValueError as exc:
+        raise ValueError(f"{path}: unreadable skymap rows ({exc})") from None
     grid = SkymapGrid(float(meta["l_min"]), float(meta["l_max"]),
                       float(meta["m_min"]), float(meta["m_max"]),
                       power.shape[0], power.shape[1])

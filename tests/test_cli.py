@@ -85,6 +85,19 @@ class TestValidation:
         assert main(["validate", "--config", str(path)]) == 2
         assert "scene.n_samples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("snr_db", [4000.0, float("nan"), float("inf"),
+                                        float("-inf")])
+    def test_snr_db_must_give_finite_power(self, tmp_path, capsys, snr_db):
+        # 10 ** (4000 / 10) overflows a float; synthesis would raise.
+        doc = copy.deepcopy(SMALL_SCENARIO)
+        doc["scene"]["sources"][0]["snr_db"] = snr_db
+        path = write_scenario(tmp_path, doc)
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "scene.sources[0].snr_db: must give" in capsys.readouterr().err
+        assert main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "scene.sources[0].snr_db" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 2
 

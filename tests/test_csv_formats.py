@@ -1,0 +1,142 @@
+"""Skymap and spectrum CSV files: exact bytes, round trips and named errors."""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from cyclosky.cyclospec import (CyclicSpectrum, read_spectrum_csv,
+                                write_spectrum_csv)
+from cyclosky.imaging import Skymap, SkymapGrid, read_skymap_csv, write_skymap_csv
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308,
+           -1e308, np.finfo(float).max, np.nan, np.inf, -np.inf, 0.1, 1 / 3]
+ANY_FLOAT = st.one_of(st.sampled_from(SPECIAL), st.floats(width=64))
+FINITE_FLOAT = st.one_of(
+    st.sampled_from([v for v in SPECIAL if np.isfinite(v)]),
+    st.floats(width=64, allow_nan=False, allow_infinity=False))
+
+
+# The formatters the writers had before they formatted a whole file with one
+# `%` call: one f-string per value. The files must keep these exact bytes.
+def reference_skymap_csv(smap):
+    g = smap.grid
+    text = (f"# kind={smap.kind} alpha_hz={smap.alpha:.17g}"
+            f" l_min={g.l_min:.17g} l_max={g.l_max:.17g}"
+            f" m_min={g.m_min:.17g} m_max={g.m_max:.17g}\n")
+    for row in smap.power:
+        text += ",".join(f"{v:.17g}" for v in row) + "\n"
+    return text.encode()
+
+
+def reference_spectrum_csv(spec):
+    text = f"# conjugate={str(spec.conjugate).lower()}\nalpha_hz,magnitude\n"
+    for a, m in zip(spec.alphas, spec.magnitudes):
+        text += f"{a:.17g},{m:.17g}\n"
+    return text.encode()
+
+
+def map_of(power, alpha=0.0):
+    grid = SkymapGrid(-0.5, 0.75, -1.0, 1.0, *power.shape)
+    return Skymap(grid, power, "conjugate_cyclic", alpha)
+
+
+def map_power(elements):
+    shapes = st.tuples(st.integers(2, 9), st.integers(2, 9))
+    return shapes.flatmap(lambda s: arrays(np.float64, s, elements=elements))
+
+
+def spectrum_columns(elements):
+    return st.integers(1, 40).flatmap(
+        lambda n: st.tuples(arrays(np.float64, n, elements=elements),
+                            arrays(np.float64, n, elements=elements)))
+
+
+def written(write, obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        write(obj, path)
+        return path.read_bytes()
+
+
+def round_trip(write, read, obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        write(obj, path)
+        return read(path)
+
+
+class TestSkymapCsv:
+    @settings(max_examples=80, deadline=None)
+    @given(power=map_power(ANY_FLOAT), alpha=FINITE_FLOAT)
+    @example(power=np.array([[0.0, -0.0], [np.nan, np.inf]]), alpha=-0.0)
+    @example(power=np.array([[5e-324, -np.inf, 1e308]] * 5), alpha=125000.0)
+    def test_bytes_match_per_value_formatter(self, power, alpha):
+        smap = map_of(power, alpha)
+        assert written(write_skymap_csv, smap) == reference_skymap_csv(smap)
+
+    @settings(max_examples=60, deadline=None)
+    @given(power=map_power(FINITE_FLOAT))
+    def test_round_trip(self, power):
+        smap = map_of(power, 7.5)
+        back = round_trip(write_skymap_csv, read_skymap_csv, smap)
+        assert np.array_equal(back.power, power)
+        assert back.grid == smap.grid
+        assert (back.kind, back.alpha) == (smap.kind, smap.alpha)
+
+    @pytest.mark.parametrize("text, named", [
+        ("", "lacks kind, alpha_hz, l_min"),
+        ("# kind=cyclic alpha_hz=0 l_min=-1 l_max=1 m_min=-1 m_", "lacks m_max"),
+        ("# kind=cyclic alpha_hz=0 l_min=-1 l_max=1 m_min=-1 m_max=1\n",
+         "has no rows"),
+        ("# kind=cyclic alpha_hz=0 l_min=-1 l_max=1 m_min=-1 m_max=1\n"
+         "1,2,3\n4,5", "unreadable skymap rows"),
+        ("# kind=cyclic alpha_hz=0 l_min=-1 l_max=1 m_min=-1 m_max=1\n"
+         "1,2,3\n4,5,", "unreadable skymap rows"),
+    ])
+    def test_empty_or_truncated_file_named(self, tmp_path, text, named):
+        path = tmp_path / "map.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=named) as info:
+            read_skymap_csv(path)
+        assert str(path) in str(info.value)
+
+
+class TestSpectrumCsv:
+    @settings(max_examples=80, deadline=None)
+    @given(columns=spectrum_columns(ANY_FLOAT), conjugate=st.booleans())
+    @example(columns=(np.array([-0.0]), np.array([np.nan])), conjugate=False)
+    @example(columns=(np.array([0.0, 5e-324, 1e308]),
+                      np.array([-np.inf, np.inf, -1e308])), conjugate=True)
+    def test_bytes_match_per_value_formatter(self, columns, conjugate):
+        spec = CyclicSpectrum(*columns, conjugate)
+        assert written(write_spectrum_csv, spec) == reference_spectrum_csv(spec)
+
+    @settings(max_examples=60, deadline=None)
+    @given(columns=spectrum_columns(FINITE_FLOAT), conjugate=st.booleans())
+    @example(columns=(np.array([1.5]), np.array([2.5])), conjugate=True)
+    def test_round_trip(self, columns, conjugate):
+        spec = CyclicSpectrum(*columns, conjugate)
+        back = round_trip(write_spectrum_csv, read_spectrum_csv, spec)
+        assert np.array_equal(back.alphas, spec.alphas)
+        assert np.array_equal(back.magnitudes, spec.magnitudes)
+        assert back.conjugate == conjugate
+
+    @pytest.mark.parametrize("text, named", [
+        ("", "lacks its '# conjugate=' line"),
+        ("# conjugate=true\n", "unexpected spectrum header ''"),
+        ("# conjugate=true\nalpha_hz,magnitude\n", "has no rows"),
+        ("# conjugate=true\nalpha_hz,magnitude\n0\n1", "unreadable"),
+        ("# conjugate=true\nalpha_hz,magnitude\n0,1\n1", "unreadable"),
+        ("# conjugate=true\nalpha_hz,magnitude\n0,1\n1,2\n2,", "unreadable"),
+    ])
+    def test_empty_or_truncated_file_named(self, tmp_path, text, named):
+        path = tmp_path / "spec.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=named) as info:
+            read_spectrum_csv(path)
+        assert str(path) in str(info.value)

@@ -7,8 +7,7 @@ from cyclosky.arraysim import (ArraySnapshot, DirectionLM, Scene, SourceSpec,
                                default_geometry, steering_vector, synthesize)
 from cyclosky.cyclospec import (FFT_MATCH_RTOL, corr_matrix, cyclic_corr_matrix,
                                 cyclic_spectrum, detect_cyclic_freqs, fft_alpha_grid,
-                                read_matrix_csv, read_spectrum_csv,
-                                write_matrix_csv, write_spectrum_csv)
+                                read_spectrum_csv, write_spectrum_csv)
 
 
 def noise_snapshot(m, n, seed, power=1.0, fs=1e6):
@@ -250,14 +249,3 @@ class TestExports:
         assert back.conjugate
         assert np.array_equal(back.alphas, spec.alphas)
         assert np.array_equal(back.magnitudes, spec.magnitudes)
-
-    def test_matrix_roundtrip(self, tmp_path):
-        snap = noise_snapshot(4, 256, seed=2)
-        ra = cyclic_corr_matrix(snap, 1.25e5, conjugate=True)
-        path = tmp_path / "matrix.csv"
-        write_matrix_csv(ra, path)
-        back = read_matrix_csv(path)
-        assert back.alpha == ra.alpha
-        assert back.conjugate == ra.conjugate
-        assert back.n_samples == ra.n_samples
-        assert np.array_equal(back.values, ra.values)
