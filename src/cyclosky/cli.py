@@ -273,10 +273,18 @@ def load_scenario(path, seed_override=None, mode_override=None) -> ScenarioConfi
     return ScenarioConfig(doc, seed_override, mode_override)
 
 
+def _require_finite(values, what, frame_idx):
+    """Raise on NaN or inf, which would give NaN maps and silently no tracks."""
+    bad = np.count_nonzero(~np.isfinite(values))
+    if bad:
+        raise ValueError(f"frame {frame_idx}: {what} has {bad} non-finite entries")
+
+
 def _analyze_frame(cfg, frame_snap, frame_time, out, frame_idx):
     """One detection / imaging cycle; returns the frame's detections."""
     detections = []
     r = cyclospec.corr_matrix(frame_snap)
+    _require_finite(r.values, "covariance", frame_idx)
     classical = imaging.skymap(r, cfg.geometry, cfg.skymap_grid)
     stem = out / "skymaps" / f"frame_{frame_idx:04d}_classical"
     imaging.write_skymap_csv(classical, str(stem) + ".csv")
@@ -291,6 +299,7 @@ def _analyze_frame(cfg, frame_snap, frame_time, out, frame_idx):
         grid = cyclospec.fft_alpha_grid(frame_snap, conjugate)
         spec = cyclospec.cyclic_spectrum(frame_snap, grid, conjugate)
         label = "conj" if conjugate else "nonconj"
+        _require_finite(spec.magnitudes, f"{label} spectrum", frame_idx)
         cyclospec.write_spectrum_csv(
             spec, out / "spectra" / f"frame_{frame_idx:04d}_{label}.csv")
         for alpha, mag in cyclospec.detect_cyclic_freqs(spec):

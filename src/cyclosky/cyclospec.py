@@ -23,14 +23,6 @@ class CorrMatrix:
     values: np.ndarray
     n_samples: int
 
-    def validate(self):
-        scale = max(np.abs(self.values).max(), 1e-300)
-        if np.abs(self.values - self.values.conj().T).max() > 1e-12 * scale:
-            raise ValueError("covariance is not Hermitian")
-        w = np.linalg.eigvalsh(self.values)
-        if w.min() < -1e-10 * np.trace(self.values).real:
-            raise ValueError("covariance is not positive semidefinite")
-
 
 @dataclass
 class CyclicCorrMatrix:
@@ -38,15 +30,6 @@ class CyclicCorrMatrix:
     alpha: float
     conjugate: bool
     n_samples: int
-
-    def validate(self):
-        if self.conjugate:
-            scale = max(np.abs(self.values).max(), 1e-300)
-            if np.abs(self.values - self.values.T).max() > 1e-12 * scale:
-                raise ValueError("conjugate cyclic matrix is not symmetric")
-
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(self.values))
 
 
 @dataclass

@@ -4,6 +4,11 @@ A classical map evaluates real(a^H R a) / M^2 per pixel; cyclic maps take
 the magnitude of the same quadratic form since the cyclic matrix is not
 Hermitian. The M^2 normalization makes an on-grid unit point source read
 as a peak of height ~= its power.
+
+Maps are formed in the baseline domain: a^H R b is a sum over antenna
+pairs, and on the regular (l, m) grid each pair's phase is an l factor times
+an m factor. Each map is thus one matrix product of per-pixel-row pair
+weights with per-axis phase tables that are cached per (geometry, grid).
 """
 
 from dataclasses import dataclass
@@ -55,40 +60,84 @@ class Skymap:
     alpha: float = 0.0
 
 
-# The one (geometry, grid) operator in use: key -> (A, conj(A), visible).
-# Every map of a run shares it; a single entry bounds the memory to one
-# operator, 2 * M * P complex128 values.
+# Direct-form contract for every map kind: a map differs from the steering-
+# matrix form a^H R b, evaluated pixel by pixel, by at most MAP_MATCH_RTOL
+# times the largest magnitude of that form on the grid.
+MAP_MATCH_RTOL = 1e-12
+
+# The one (geometry, grid) operator in use: key -> pair tables and the
+# visibility mask (see `_operator`). Every map of a run shares it; a single
+# entry bounds the memory to one operator, about 16 * M^2 * (n_l + n_m) bytes.
 _operator_cache = {}
 
 
 def _operator(geom: ArrayGeometry, grid: SkymapGrid):
-    """Steering matrix A (M x P), conj(A) and the visibility mask, built once
-    per (geometry, grid) value. The arrays are read-only because they are
-    shared by every map with the same key."""
+    """Per-axis phase tables over antenna pairs, built once per (geometry,
+    grid) value. The arrays are read-only because they are shared by every
+    map with the same key.
+
+    With kappa = 2 pi f0 / c and a_n = exp(-i kappa (x_n l + y_n m)), a pair's
+    phase over the grid is an l factor times an m factor:
+
+    - diff_l (n_l x B', complex) and diff_m (2B' x n_m, real) hold
+      conj(a_n) a_m = exp(i kappa (x_n - x_m) l) exp(i kappa (y_n - y_m) m)
+      for the B' = M(M-1)/2 pairs n < m; diff_m interleaves the rows
+      cos and -sin of each pair's m phase, to meet diff_l viewed as
+      interleaved (real, imag) floats;
+    - sum_l (n_l x B'') and sum_m (B'' x n_m) hold conj(a_n) conj(a_m), the
+      same with x_n + x_m and y_n + y_m, for the B'' = M(M+1)/2 pairs n <= m.
+    """
     key = (np.asarray(geom.positions, dtype=float).tobytes(), geom.f0,
            grid.l_min, grid.l_max, grid.m_min, grid.m_max, grid.n_l, grid.n_m)
     op = _operator_cache.get(key)
     if op is None:
         # Free the old operator first, so that two never coexist.
         _operator_cache.clear()
-        ll, mm = np.meshgrid(grid.l_axis(), grid.m_axis(), indexing="ij")
-        x = geom.positions[:, 0][:, None]
-        y = geom.positions[:, 1][:, None]
-        a = np.exp(-2j * np.pi * (geom.f0 / C_LIGHT)
-                   * (x * ll.ravel()[None, :] + y * mm.ravel()[None, :]))
-        op = (a, a.conj(), grid.mask())
+        kappa = 2.0 * np.pi * geom.f0 / C_LIGHT
+        l = grid.l_axis()[:, None]
+        m = grid.m_axis()[None, :]
+        x, y = geom.positions[:, 0], geom.positions[:, 1]
+        n, k = np.triu_indices(geom.n_antennas, 1)
+        diff_l = np.exp(1j * kappa * l * (x[n] - x[k]))
+        rows = np.exp(1j * kappa * (y[n] - y[k])[:, None] * m)
+        diff_m = np.stack((rows.real, -rows.imag), axis=1).reshape(-1, grid.n_m)
+        n, k = np.triu_indices(geom.n_antennas)
+        sum_l = np.exp(1j * kappa * l * (x[n] + x[k]))
+        sum_m = np.exp(1j * kappa * (y[n] + y[k])[:, None] * m)
+        op = (diff_l, diff_m, sum_l, sum_m, grid.mask())
         for arr in op:
             arr.flags.writeable = False
         _operator_cache[key] = op
     return op
 
 
-def _quadratic_form(values, geom: ArrayGeometry, grid: SkymapGrid, conjugate):
-    """a^H R b per pixel, with b = conj(a) for the conjugate estimator and
-    b = a otherwise; also returns the visibility mask."""
-    a, a_conj, visible = _operator(geom, grid)
-    right = a_conj if conjugate else a
-    return np.einsum("mp,mp->p", a_conj, values @ right), visible
+def _quadratic_form(values, geom: ArrayGeometry, grid: SkymapGrid, kind):
+    """a^H R b on the (n_l, n_m) grid, with b = conj(a) for the conjugate
+    cyclic kind and b = a otherwise, as one matrix product over antenna pairs;
+    only the real part for the classical kind. Also returns the visibility
+    mask.
+
+    The pair folds are exact for any R, symmetric or not. Over a pair n < m,
+    R_nm D + R_mn conj(D) with D = conj(a_n) a_m has the real part
+    Re(w D), w = R_nm + conj(R_mn), and the imaginary part Re(w' D),
+    w' = -i (R_nm - conj(R_mn)); conjugate maps weight conj(a_n) conj(a_m)
+    by R_nm + R_mn, and the pair n = m by R_nn.
+    """
+    diff_l, diff_m, sum_l, sum_m, visible = _operator(geom, grid)
+    if kind == KIND_CONJ_CYCLIC:
+        folded = values + values.T
+        np.fill_diagonal(folded, values.diagonal())
+        return (folded[np.triu_indices(len(values))] * sum_l) @ sum_m, visible
+    n, k = np.triu_indices(len(values), 1)
+    upper, lower = values[n, k], values[k, n].conj()
+    trace = np.trace(values)
+    if kind == KIND_CLASSICAL:
+        left = ((upper + lower) * diff_l).view(np.float64)
+        return left @ diff_m + trace.real, visible
+    weights = np.stack((upper + lower, -1j * (upper - lower)))[:, None, :]
+    left = (weights * diff_l).view(np.float64).reshape(2 * grid.n_l, -1)
+    re, im = np.split(left @ diff_m, 2)
+    return (re + trace.real) + 1j * (im + trace.imag), visible
 
 
 def skymap(r_matrix, geom: ArrayGeometry, grid: SkymapGrid) -> Skymap:
@@ -96,9 +145,8 @@ def skymap(r_matrix, geom: ArrayGeometry, grid: SkymapGrid) -> Skymap:
     values = r_matrix.values
     if values.shape[0] != geom.n_antennas:
         raise ValueError("covariance and geometry dimensions disagree")
-    form, visible = _quadratic_form(values, geom, grid, False)
-    q = np.real(form) / geom.n_antennas ** 2
-    q = np.clip(q, 0.0, None).reshape(grid.n_l, grid.n_m)
+    form, visible = _quadratic_form(values, geom, grid, KIND_CLASSICAL)
+    q = np.clip(form / geom.n_antennas ** 2, 0.0, None)
     q[~visible] = 0.0
     return Skymap(grid, q, KIND_CLASSICAL)
 
@@ -109,11 +157,10 @@ def cyclic_skymap(ra_matrix, geom: ArrayGeometry, grid: SkymapGrid) -> Skymap:
     values = ra_matrix.values
     if values.shape[0] != geom.n_antennas:
         raise ValueError("cyclic matrix and geometry dimensions disagree")
-    form, visible = _quadratic_form(values, geom, grid, ra_matrix.conjugate)
-    q = np.abs(form) / geom.n_antennas ** 2
-    q = q.reshape(grid.n_l, grid.n_m)
-    q[~visible] = 0.0
     kind = KIND_CONJ_CYCLIC if ra_matrix.conjugate else KIND_CYCLIC
+    form, visible = _quadratic_form(values, geom, grid, kind)
+    q = np.abs(form) / geom.n_antennas ** 2
+    q[~visible] = 0.0
     return Skymap(grid, q, kind, ra_matrix.alpha)
 
 

@@ -98,6 +98,19 @@ class TestValidation:
                      "--out", str(tmp_path / "out")]) == 2
         assert "scene.sources[0].snr_db" in capsys.readouterr().err
 
+    def test_overflowing_frame_fails_loudly(self, tmp_path, capsys):
+        # Power 10 ** 308.2 is finite, but its frame covariance overflows.
+        doc = copy.deepcopy(SMALL_SCENARIO)
+        doc["scene"]["sources"][0]["snr_db"] = 3082.0
+        path = write_scenario(tmp_path, doc)
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "ValueError: frame 0: covariance has" in err
+        assert "non-finite entries" in err
+        assert not (out / "manifest.json").exists()
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 2
 

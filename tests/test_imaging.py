@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cyclosky import imaging
 from cyclosky.arraysim import (C_LIGHT, ArrayGeometry, ArraySnapshot,
@@ -86,21 +88,25 @@ class TestCyclicSkymap:
         assert smap.power.max() < 5.0 / np.sqrt(n)
 
 
-def fresh_map(matrix, geom, grid):
-    """Reference map from an operator built for this call alone."""
+def direct_form(matrix, geom, grid):
+    """a^H R b per pixel from a steering matrix A (M x P) built for this call
+    alone, shaped (n_l, n_m); the real part for a classical matrix."""
     ll, mm = np.meshgrid(grid.l_axis(), grid.m_axis(), indexing="ij")
     x = geom.positions[:, 0][:, None]
     y = geom.positions[:, 1][:, None]
     a = np.exp(-2j * np.pi * (geom.f0 / C_LIGHT)
                * (x * ll.ravel()[None, :] + y * mm.ravel()[None, :]))
-    m = geom.n_antennas
-    if isinstance(matrix, CorrMatrix):
-        form = np.einsum("mp,mp->p", a.conj(), matrix.values @ a)
-        q = np.clip(np.real(form) / m ** 2, 0.0, None)
-    else:
-        right = a.conj() if matrix.conjugate else a
-        q = np.abs(np.einsum("mp,mp->p", a.conj(), matrix.values @ right)) / m ** 2
-    q = q.reshape(grid.n_l, grid.n_m)
+    classical = isinstance(matrix, CorrMatrix)
+    right = a if classical or not matrix.conjugate else a.conj()
+    form = np.einsum("mp,mp->p", a.conj(), matrix.values @ right)
+    form = form.reshape(grid.n_l, grid.n_m)
+    return form.real if classical else form
+
+
+def fresh_map(matrix, geom, grid):
+    """Reference map from the direct form."""
+    q = direct_form(matrix, geom, grid) / geom.n_antennas ** 2
+    q = np.clip(q, 0.0, None) if isinstance(matrix, CorrMatrix) else np.abs(q)
     q[~grid.mask()] = 0.0
     return q
 
@@ -109,6 +115,18 @@ def any_map(matrix, geom, grid):
     if isinstance(matrix, CorrMatrix):
         return skymap(matrix, geom, grid).power
     return cyclic_skymap(matrix, geom, grid).power
+
+
+def rebuilt_map(matrix, geom, grid):
+    """The map from an operator built for this call alone."""
+    imaging._operator_cache.clear()
+    return any_map(matrix, geom, grid)
+
+
+def assert_matches_direct(power, matrix, geom, grid):
+    expected = fresh_map(matrix, geom, grid)
+    assert (np.abs(power - expected).max()
+            <= imaging.MAP_MATCH_RTOL * np.abs(expected).max())
 
 
 def random_matrices(m, seed=5):
@@ -125,29 +143,33 @@ class TestOperatorCache:
         for matrix in random_matrices(geom.n_antennas):
             first = any_map(matrix, geom, grid)
             again = any_map(matrix, geom, grid)
-            expected = fresh_map(matrix, geom, grid)
+            expected = rebuilt_map(matrix, geom, grid)
             assert np.array_equal(first, expected)
             assert np.array_equal(again, expected)
+            assert_matches_direct(first, matrix, geom, grid)
 
     def test_alternating_geometries(self, geom, grid):
         other = default_geometry(16, 1.42e9, seed=3)
         matrices = random_matrices(16)
+        expected = [[rebuilt_map(matrix, g, grid) for matrix in matrices]
+                    for g in (geom, other)]
         for _ in range(2):
-            for g in (geom, other):
-                for matrix in matrices:
-                    assert np.array_equal(any_map(matrix, g, grid),
-                                          fresh_map(matrix, g, grid))
-        assert not np.array_equal(any_map(matrices[0], geom, grid),
-                                  any_map(matrices[0], other, grid))
+            for g, maps in zip((geom, other), expected):
+                for matrix, power in zip(matrices, maps):
+                    assert np.array_equal(any_map(matrix, g, grid), power)
+                    assert_matches_direct(power, matrix, g, grid)
+        assert not np.array_equal(expected[0][0], expected[1][0])
 
     def test_alternating_grids(self, geom, grid):
         other = SkymapGrid(-0.5, 0.5, -0.25, 0.75, grid.n_l, grid.n_m)
         matrices = random_matrices(geom.n_antennas)
+        expected = [[rebuilt_map(matrix, geom, g) for matrix in matrices]
+                    for g in (grid, other)]
         for _ in range(2):
-            for g in (grid, other):
-                for matrix in matrices:
-                    assert np.array_equal(any_map(matrix, geom, g),
-                                          fresh_map(matrix, geom, g))
+            for g, maps in zip((grid, other), expected):
+                for matrix, power in zip(matrices, maps):
+                    assert np.array_equal(any_map(matrix, geom, g), power)
+                    assert_matches_direct(power, matrix, geom, g)
 
     def test_positions_changed_in_place(self, grid):
         geom = default_geometry(16, 1.42e9, seed=2)
@@ -157,7 +179,8 @@ class TestOperatorCache:
         after = any_map(matrix, geom, grid)
         assert not np.array_equal(before, after)
         rebuilt = ArrayGeometry(geom.positions.copy(), geom.f0)
-        assert np.array_equal(after, fresh_map(matrix, rebuilt, grid))
+        assert np.array_equal(after, rebuilt_map(matrix, rebuilt, grid))
+        assert_matches_direct(after, matrix, rebuilt, grid)
 
     def test_one_read_only_entry(self, geom, grid):
         op = imaging._operator(geom, grid)
@@ -168,6 +191,47 @@ class TestOperatorCache:
             op[0][0, 0] = 0.0
         imaging._operator(default_geometry(16, 1.42e9, seed=3), grid)
         assert len(imaging._operator_cache) == 1
+
+
+@st.composite
+def sub_grids(draw):
+    """Grids inside [-1, 1]^2 at least 0.05 wide, down to 2 pixels per axis."""
+    l_min = draw(st.floats(-1.0, 0.95))
+    m_min = draw(st.floats(-1.0, 0.95))
+    return SkymapGrid(l_min, draw(st.floats(l_min + 0.05, 1.0)),
+                      m_min, draw(st.floats(m_min + 0.05, 1.0)),
+                      draw(st.integers(2, 9)), draw(st.integers(2, 9)))
+
+
+class TestPairTables:
+    @settings(max_examples=80, deadline=None)
+    @given(positions=st.integers(2, 8).flatmap(lambda m: st.lists(
+               st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+               min_size=m, max_size=m, unique=True)),
+           grid=sub_grids(), seed=st.integers(0, 2 ** 32 - 1),
+           asymmetry=st.sampled_from([1e-12, 1e-3, 1.0]))
+    @example(positions=[(0.0, 0.0), (0.5, -0.25)],
+             grid=SkymapGrid(-0.5, 0.5, -0.5, 0.5, 2, 2), seed=0,
+             asymmetry=1e-12)
+    @example(positions=[(0.1 * i, (-0.3) ** i) for i in range(8)],
+             grid=SkymapGrid(-0.9, 0.3, -0.2, 0.7, 2, 9), seed=1,
+             asymmetry=1.0)
+    def test_maps_match_direct_form(self, positions, grid, seed, asymmetry):
+        """Every map kind against the direct form, for matrices with no
+        symmetry to lean on: a non-Hermitian classical R and a conjugate
+        matrix that is symmetric only up to `asymmetry`."""
+        geom = ArrayGeometry(np.array(positions), 1.42e9)
+        m = geom.n_antennas
+        rng = np.random.default_rng(seed)
+        w, u = rng.standard_normal((2, m, m)) + 1j * rng.standard_normal((2, m, m))
+        for matrix in (CorrMatrix(w, m), CyclicCorrMatrix(w, 1.25e5, False, m),
+                       CyclicCorrMatrix(w + w.T + asymmetry * u, 1.25e5, True, m)):
+            # The scale is the map before clipping and masking: a classical
+            # map of a non-Hermitian R can clip to far below its terms.
+            scale = np.abs(direct_form(matrix, geom, grid)).max() / m ** 2
+            assert (np.abs(any_map(matrix, geom, grid)
+                           - fresh_map(matrix, geom, grid)).max()
+                    <= imaging.MAP_MATCH_RTOL * scale)
 
 
 class TestLocatePeaks:
