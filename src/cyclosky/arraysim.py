@@ -5,7 +5,7 @@ antenna voltages, geometry entering as a pure phase at the reference
 frequency. Moving sources use block-constant directions.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -2,13 +2,15 @@
 
 A scenario is one JSON document (versioned, unknown keys rejected) that
 describes the scene, the per-frame analysis, the tracker, and the
-scheduling problem. `run` executes the full chain deterministically under
-the scenario seed and writes every artifact to the output directory.
+scheduling problem; `SCHEMA` lists every key with its type, default and
+check. `run` executes the full chain deterministically under the scenario
+seed and writes every artifact to the output directory.
 """
 
 import argparse
 import hashlib
 import json
+import math
 import sys
 import traceback
 from datetime import datetime, timezone
@@ -30,231 +32,257 @@ def _require(cond, key, message):
         raise ScenarioError(f"{key}: {message}")
 
 
-def _check_keys(obj, allowed, path):
-    if not isinstance(obj, dict):
-        raise ScenarioError(f"{path}: expected an object")
-    for key in obj:
-        if key not in allowed:
-            raise ScenarioError(f"{path}.{key}: unknown key")
+REQUIRED = object()
+POSITIVE = (lambda v: v > 0, "must be positive")
+NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
+AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
+# frames.length x antennas x summed power must stay below this, so that the
+# squared magnitudes the alpha-scan sums stay finite.
+MAX_FRAME_LOAD = 1e150
 
 
-def _get(obj, key, path, default=None, required=False):
-    if key not in obj:
-        if required:
-            raise ScenarioError(f"{path}.{key}: missing required key")
-        return default
-    return obj[key]
-
-
-def _parse_direction(raw, path):
-    if "start" in raw:
-        _check_keys(raw, {"start", "rate"}, path)
-        start = _parse_direction(raw["start"], path + ".start")
-        rate = raw.get("rate", [0.0, 0.0])
-        _require(len(rate) == 2, path + ".rate", "expected [dl_dt, dm_dt]")
-        return arraysim.TrajectorySpec(start, (float(rate[0]), float(rate[1])))
-    _check_keys(raw, {"l", "m"}, path)
+def _finite_power(snr_db):
+    # A source's power is the noise reference times 10 ** (snr_db / 10).
     try:
-        return arraysim.DirectionLM(float(_get(raw, "l", path, required=True)),
-                                    float(_get(raw, "m", path, required=True)))
+        return 0.0 < 10.0 ** (snr_db / 10.0) < math.inf
+    except OverflowError:
+        return False
+
+
+# section -> key -> (type, default or REQUIRED[, check, message]). A type is
+# bool, int, float, str or dict (a raw JSON object), the name of another
+# section, or [type] for a JSON array of that type. JSON integers are taken
+# for float keys; null is taken only where the default is None.
+SCHEMA = {
+    "scenario": {
+        "schema_version": (int, REQUIRED, lambda v: v == SCHEMA_VERSION,
+                           f"must be {SCHEMA_VERSION}"),
+        "seed": (int, 0, *NON_NEGATIVE), "scene": ("scene", REQUIRED),
+        "frames": ("frames", {}), "analysis": ("analysis", {}),
+        "skymap": ("skymap", {}), "tracker": ("tracker", {}), "site": ("site", {}),
+        "programs": (["program"], []), "scheduler": ("scheduler", {}),
+        "output": ("output", {})},
+    "scene": {
+        "n_antennas": (int, None, lambda v: v >= 2, "need at least 2 antennas"),
+        "aperture_wavelengths": (float, 6.0, *POSITIVE),
+        "positions_m": ([[float]], None),
+        "reference_freq_hz": (float, REQUIRED, *POSITIVE),
+        "n_samples": (int, REQUIRED, *AT_LEAST_1),
+        "sample_rate_hz": (float, REQUIRED, *POSITIVE),
+        "system_noise_power": (float, 1.0, *NON_NEGATIVE),
+        "sources": (["source"], [])},
+    "source": {
+        "kind": (str, REQUIRED, lambda v: v in (arraysim.KIND_ASTRO, arraysim.KIND_BPSK,
+                                                arraysim.KIND_CW),
+                 "must be 'astro', 'bpsk' or 'cw'"),
+        "snr_db": (float, REQUIRED, _finite_power,
+                   "must give a positive finite power 10**(snr_db/10)"),
+        "direction": (dict, REQUIRED), "baud_rate_hz": (float, None),
+        "carrier_offset_hz": (float, 0.0), "freq_hz": (float, 0.0),
+        "phase_rad": (float, 0.0), "seed": (int, None, *NON_NEGATIVE)},
+    "direction": {"l": (float, REQUIRED), "m": (float, REQUIRED)},
+    "trajectory": {
+        "start": ("direction", REQUIRED),
+        "rate": ([float], [0.0, 0.0], lambda v: len(v) == 2, "must be [dl_dt, dm_dt]")},
+    "frames": {"length": (int, None, *AT_LEAST_1)},
+    "analysis": {
+        "non_conjugate": (bool, True), "conjugate": (bool, True),
+        "max_detections_per_frame": (int, 3, *NON_NEGATIVE),
+        "max_peaks_per_alpha": (int, 2, *AT_LEAST_1)},
+    "skymap": {"l_min": (float, -1.0), "l_max": (float, 1.0), "m_min": (float, -1.0),
+               "m_max": (float, 1.0), "n_l": (int, 128), "n_m": (int, 128)},
+    "tracker": {
+        "s_stat": (float, 1e-5, *NON_NEGATIVE), "s_fast": (float, 5e-3, *NON_NEGATIVE),
+        "gate_min": (float, 0.01, *NON_NEGATIVE),
+        "gate_sigma": (float, 3.0, *NON_NEGATIVE),
+        "alpha_tol_hz": (float, None, *NON_NEGATIVE),
+        "drop_after": (int, 5, *NON_NEGATIVE), "min_points": (int, 5, *AT_LEAST_1)},
+    "site": {"latitude_deg": (float, 0.0), "slot_length_s": (float, 600.0),
+             "lst0_deg": (float, 0.0)},
+    "program": {
+        "id": (int, REQUIRED), "ra_deg": (float, REQUIRED), "dec_deg": (float, REQUIRED),
+        "f_lo_hz": (float, REQUIRED), "f_hi_hz": (float, REQUIRED),
+        "duration_slots": (int, REQUIRED), "priority": (float, REQUIRED)},
+    "scheduler": {
+        "mode": (str, "greedy", lambda v: v in ("greedy", "exact"),
+                 "must be 'greedy' or 'exact'"),
+        "horizon_slots": (int, 12, *AT_LEAST_1), "lambda": (float, 1.0, *NON_NEGATIVE),
+        "risk_cap": (float, 0.5, *NON_NEGATIVE),
+        "exclusion_radius": (float, 0.1, *POSITIVE),
+        "rfi_bands": (["rfi_band"], []), "channels": ("channels", None)},
+    "rfi_band": {"alpha_hz": (float, REQUIRED), "f_lo_hz": (float, REQUIRED),
+                 "f_hi_hz": (float, REQUIRED)},
+    "channels": {"f_start_hz": (float, REQUIRED), "channel_width_hz": (float, REQUIRED),
+                 "n_channels": (int, REQUIRED)},
+    "output": {"directory": (str, "out")},
+}
+
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string", list: "an array", dict: "an object"}
+
+
+def _typed(value, kind, where, check=None, message=None):
+    """`value` checked against one schema type and its check."""
+    if isinstance(kind, list):
+        _typed(value, list, where)
+        value = [_typed(v, kind[0], f"{where}[{i}]") for i, v in enumerate(value)]
+    elif isinstance(kind, str):
+        value = _section(value, kind, where)
+    else:
+        if kind is float and type(value) is int:
+            value = float(value) if abs(value) <= sys.float_info.max else math.inf
+        if type(value) is not kind:
+            raise ScenarioError(
+                f"{where}: must be {_TYPE_NAMES[kind]}, not {value!r:.60}")
+    # A key's own check and message come before the generic finiteness one.
+    if check is not None and not check(value):
+        raise ScenarioError(f"{where}: {message}, not {value!r:.60}")
+    if kind is float and not math.isfinite(value):
+        raise ScenarioError(f"{where}: must be finite, not {value!r}")
+    return value
+
+
+def _section(raw, name, path):
+    """One scenario object checked against SCHEMA[name], defaults filled in."""
+    _typed(raw, dict, path or name)
+    schema = SCHEMA[name]
+    prefix = f"{path}." if path else ""
+    for key in raw:
+        _require(key in schema, prefix + key, "unknown key")
+    out = {}
+    for key, (kind, default, *rule) in schema.items():
+        where = prefix + key
+        value = raw.get(key, default)
+        _require(value is not REQUIRED, where, "missing required key")
+        out[key] = (None if value is None and default is None
+                    else _typed(value, kind, where, *rule))
+    return out
+
+
+def _build(path, constructor, *args, **kwargs):
+    """A domain object; its own ValueError becomes a ScenarioError at `path`."""
+    try:
+        return constructor(*args, **kwargs)
     except ValueError as exc:
-        raise ScenarioError(f"{path}: {exc}")
+        raise ScenarioError(f"{path}: {exc}") from None
 
 
-def _parse_source(raw, path):
-    _check_keys(raw, {"kind", "snr_db", "direction", "baud_rate_hz",
-                      "carrier_offset_hz", "freq_hz", "phase_rad", "seed"}, path)
-    kind = _get(raw, "kind", path, required=True)
-    _require(kind in (arraysim.KIND_ASTRO, arraysim.KIND_BPSK, arraysim.KIND_CW),
-             path + ".kind", f"unknown source kind {kind!r}")
-    direction = _parse_direction(_get(raw, "direction", path, required=True),
-                                 path + ".direction")
-    snr_db = _get(raw, "snr_db", path, required=True)
-    try:
-        # Synthesis scales the noise power by 10 ** (snr_db / 10).
-        usable = 0.0 < 10.0 ** (float(snr_db) / 10.0) < np.inf
-    except (TypeError, ValueError, OverflowError):
-        usable = False
-    _require(usable, path + ".snr_db",
-             f"must give a positive finite power 10**(snr_db/10), not {snr_db!r}")
-    return arraysim.SourceSpec(
-        kind=kind,
-        snr_db=float(snr_db),
-        direction=direction,
-        baud_rate=raw.get("baud_rate_hz"),
-        carrier_offset=float(raw.get("carrier_offset_hz", 0.0)),
-        freq=float(raw.get("freq_hz", 0.0)),
-        phase=float(raw.get("phase_rad", 0.0)),
-        seed=raw.get("seed"),
-    )
+def _direction(raw, path):
+    if "start" in raw:
+        traj = _section(raw, "trajectory", path)
+        return arraysim.TrajectorySpec(
+            _build(path + ".start", arraysim.DirectionLM, **traj["start"]),
+            tuple(traj["rate"]))
+    return _build(path, arraysim.DirectionLM, **_section(raw, "direction", path))
 
 
 class ScenarioConfig:
     """Validated scenario; holds constructed domain objects."""
 
     def __init__(self, doc, seed_override=None, mode_override=None):
-        _check_keys(doc, {"schema_version", "seed", "scene", "frames", "analysis",
-                          "skymap", "tracker", "site", "programs", "scheduler",
-                          "output"}, "scenario")
-        version = _get(doc, "schema_version", "scenario", required=True)
-        _require(version == SCHEMA_VERSION, "scenario.schema_version",
-                 f"unsupported schema version {version}")
-        self.seed = int(_get(doc, "seed", "scenario", 0))
-        if seed_override is not None:
-            self.seed = int(seed_override)
+        doc = _section(doc, "scenario", "")
+        if seed_override is not None:  # --seed takes the key's own check
+            doc["seed"] = _typed(seed_override, int, "seed",
+                                 *SCHEMA["scenario"]["seed"][2:])
+        self.seed = doc["seed"]
 
-        scene = _get(doc, "scene", "scenario", required=True)
-        _check_keys(scene, {"n_antennas", "aperture_wavelengths", "positions_m",
-                            "reference_freq_hz", "n_samples", "sample_rate_hz",
-                            "system_noise_power", "sources"}, "scene")
-        f0 = float(_get(scene, "reference_freq_hz", "scene", required=True))
-        _require(f0 > 0, "scene.reference_freq_hz", "must be positive")
-        if scene.get("positions_m") is not None:
-            try:
-                self.geometry = arraysim.ArrayGeometry(
-                    np.asarray(scene["positions_m"], dtype=float), f0)
-            except ValueError as exc:
-                raise ScenarioError(f"scene.positions_m: {exc}")
+        scene = doc["scene"]
+        f0 = scene["reference_freq_hz"]
+        if scene["positions_m"] is not None:
+            self.geometry = _build("scene.positions_m", arraysim.ArrayGeometry,
+                                   scene["positions_m"], f0)
         else:
-            n_ant = _get(scene, "n_antennas", "scene", required=True)
-            _require(int(n_ant) >= 2, "scene.n_antennas", "need at least 2 antennas")
+            _require(scene["n_antennas"] is not None, "scene.n_antennas",
+                     "missing required key")
             self.geometry = arraysim.default_geometry(
-                int(n_ant), f0, self.seed,
-                float(scene.get("aperture_wavelengths", 6.0)))
-        n_samples = _get(scene, "n_samples", "scene", required=True)
-        _require(int(n_samples) >= 1, "scene.n_samples", "must be >= 1")
-        self.n_samples = int(n_samples)
-        sample_rate = float(_get(scene, "sample_rate_hz", "scene", required=True))
-        _require(sample_rate > 0, "scene.sample_rate_hz", "must be positive")
-        self.sample_rate = sample_rate
-        noise = float(scene.get("system_noise_power", 1.0))
-        _require(noise >= 0, "scene.system_noise_power", "must be non-negative")
-        self.system_noise_power = noise
-        self.sources = [_parse_source(s, f"scene.sources[{i}]")
-                        for i, s in enumerate(scene.get("sources", []))]
-        for i, src in enumerate(self.sources):
-            if src.kind == arraysim.KIND_BPSK:
-                _require(src.baud_rate is not None,
-                         f"scene.sources[{i}].baud_rate_hz", "required for bpsk")
-                _require(0 < src.baud_rate < sample_rate / 2,
-                         f"scene.sources[{i}].baud_rate_hz",
+                scene["n_antennas"], f0, self.seed, scene["aperture_wavelengths"])
+        self.n_samples = scene["n_samples"]
+        self.sample_rate = fs = scene["sample_rate_hz"]
+        self.system_noise_power = scene["system_noise_power"]
+        self.sources = []
+        for i, src in enumerate(scene["sources"]):
+            path = f"scene.sources[{i}]"
+            if src["kind"] == arraysim.KIND_BPSK:
+                _require(src["baud_rate_hz"] is not None, path + ".baud_rate_hz",
+                         "required for bpsk")
+                _require(0 < src["baud_rate_hz"] < fs / 2, path + ".baud_rate_hz",
                          "must lie in (0, sample_rate/2)")
-            if abs(src.carrier_offset) >= sample_rate / 2:
-                raise ScenarioError(f"scene.sources[{i}].carrier_offset_hz: aliases")
+            for key in ("carrier_offset_hz", "freq_hz"):
+                _require(abs(src[key]) < fs / 2, f"{path}.{key}", "aliases")
+            direction = _direction(src["direction"], path + ".direction")
+            if isinstance(direction, arraysim.TrajectorySpec):
+                # The disk is convex: inside at both ends is inside throughout.
+                _build(path + ".direction.rate", direction.position,
+                       self.n_samples / fs)
+            self.sources.append(arraysim.SourceSpec(
+                src["kind"], src["snr_db"], direction, src["baud_rate_hz"],
+                src["carrier_offset_hz"], src["freq_hz"], src["phase_rad"],
+                src["seed"]))
 
-        frames = _get(doc, "frames", "scenario", {})
-        _check_keys(frames, {"length"}, "frames")
-        self.frame_length = int(frames.get("length", self.n_samples))
-        _require(self.frame_length >= 1, "frames.length", "must be >= 1")
+        self.frame_length = doc["frames"]["length"] or self.n_samples
         _require(self.n_samples % self.frame_length == 0, "frames.length",
                  "must divide scene.n_samples")
         self.n_frames = self.n_samples // self.frame_length
+        # Summed over a frame, z z^H must not overflow; the strongest term of
+        # the power sum is named.
+        reference = self.system_noise_power or 1.0
+        terms = [(reference, "scene.system_noise_power")] + [
+            (10.0 ** (s.snr_db / 10.0) * reference, f"scene.sources[{i}].snr_db")
+            for i, s in enumerate(self.sources)]
+        load = self.frame_length * self.geometry.n_antennas * sum(p for p, _ in terms)
+        _require(load < MAX_FRAME_LOAD, max(terms)[1],
+                 f"frames.length x antennas x total power is {load:.3g}, "
+                 f"not below {MAX_FRAME_LOAD:g}")
 
-        analysis = _get(doc, "analysis", "scenario", {})
-        _check_keys(analysis, {"non_conjugate", "conjugate",
-                               "max_detections_per_frame", "max_peaks_per_alpha"},
-                    "analysis")
-        self.scan_non_conjugate = bool(analysis.get("non_conjugate", True))
-        self.scan_conjugate = bool(analysis.get("conjugate", True))
-        self.max_detections = int(analysis.get("max_detections_per_frame", 3))
-        self.max_peaks = int(analysis.get("max_peaks_per_alpha", 2))
+        analysis = doc["analysis"]
+        self.scan_non_conjugate = analysis["non_conjugate"]
+        self.scan_conjugate = analysis["conjugate"]
+        self.max_detections = analysis["max_detections_per_frame"]
+        self.max_peaks = analysis["max_peaks_per_alpha"]
 
-        skymap = _get(doc, "skymap", "scenario", {})
-        _check_keys(skymap, {"l_min", "l_max", "m_min", "m_max", "n_l", "n_m"},
-                    "skymap")
-        try:
-            self.skymap_grid = imaging.SkymapGrid(
-                float(skymap.get("l_min", -1.0)), float(skymap.get("l_max", 1.0)),
-                float(skymap.get("m_min", -1.0)), float(skymap.get("m_max", 1.0)),
-                int(skymap.get("n_l", 128)), int(skymap.get("n_m", 128)))
-        except ValueError as exc:
-            raise ScenarioError(f"skymap: {exc}")
+        self.skymap_grid = _build("skymap", imaging.SkymapGrid, **doc["skymap"])
 
-        tracker = _get(doc, "tracker", "scenario", {})
-        _check_keys(tracker, {"s_stat", "s_fast", "gate_min", "gate_sigma",
-                              "alpha_tol_hz", "drop_after", "min_points"}, "tracker")
-        alpha_tol = tracker.get("alpha_tol_hz")
+        tracker = doc["tracker"]
+        alpha_tol = tracker["alpha_tol_hz"]
         if alpha_tol is None:
-            alpha_tol = sample_rate / self.frame_length  # one alpha-grid step
+            alpha_tol = fs / self.frame_length  # one alpha-grid step
         self.tracker_cfg = tracking.TrackerConfig(
-            s_stat=float(tracker.get("s_stat", 1e-5)),
-            s_fast=float(tracker.get("s_fast", 5e-3)),
-            gate_min=float(tracker.get("gate_min", 0.01)),
-            gate_sigma=float(tracker.get("gate_sigma", 3.0)),
-            alpha_tol=float(alpha_tol),
-            drop_after=int(tracker.get("drop_after", 5)),
-            min_points=int(tracker.get("min_points", 5)))
+            s_stat=tracker["s_stat"], s_fast=tracker["s_fast"],
+            gate_min=tracker["gate_min"], gate_sigma=tracker["gate_sigma"],
+            alpha_tol=alpha_tol, drop_after=tracker["drop_after"],
+            min_points=tracker["min_points"])
 
-        site = _get(doc, "site", "scenario", {})
-        _check_keys(site, {"latitude_deg", "slot_length_s", "lst0_deg"}, "site")
-        try:
-            self.site = scheduling.SiteModel(
-                np.deg2rad(float(site.get("latitude_deg", 0.0))),
-                float(site.get("slot_length_s", 600.0)),
-                np.deg2rad(float(site.get("lst0_deg", 0.0))))
-        except ValueError as exc:
-            raise ScenarioError(f"site: {exc}")
+        site = doc["site"]
+        self.site = _build("site", scheduling.SiteModel,
+                           np.deg2rad(site["latitude_deg"]), site["slot_length_s"],
+                           np.deg2rad(site["lst0_deg"]))
+        self.programs = [
+            _build(f"programs[{i}]", scheduling.Program, p["id"],
+                   np.deg2rad(p["ra_deg"]), np.deg2rad(p["dec_deg"]),
+                   (p["f_lo_hz"], p["f_hi_hz"]), p["duration_slots"], p["priority"])
+            for i, p in enumerate(doc["programs"])]
 
-        self.programs = []
-        for i, raw in enumerate(_get(doc, "programs", "scenario", [])):
-            path = f"programs[{i}]"
-            _check_keys(raw, {"id", "ra_deg", "dec_deg", "f_lo_hz", "f_hi_hz",
-                              "duration_slots", "priority"}, path)
-            try:
-                self.programs.append(scheduling.Program(
-                    int(_get(raw, "id", path, required=True)),
-                    np.deg2rad(float(_get(raw, "ra_deg", path, required=True))),
-                    np.deg2rad(float(_get(raw, "dec_deg", path, required=True))),
-                    (float(_get(raw, "f_lo_hz", path, required=True)),
-                     float(_get(raw, "f_hi_hz", path, required=True))),
-                    int(_get(raw, "duration_slots", path, required=True)),
-                    float(_get(raw, "priority", path, required=True))))
-            except ValueError as exc:
-                raise ScenarioError(f"{path}: {exc}")
-
-        sched = _get(doc, "scheduler", "scenario", {})
-        _check_keys(sched, {"mode", "horizon_slots", "lambda", "risk_cap",
-                            "exclusion_radius", "rfi_bands", "channels"},
-                    "scheduler")
-        self.mode = sched.get("mode", "greedy")
-        if mode_override is not None:
-            self.mode = mode_override
-        _require(self.mode in ("greedy", "exact"), "scheduler.mode",
-                 f"unknown mode {self.mode!r}")
-        self.horizon = int(sched.get("horizon_slots", 12))
-        _require(self.horizon >= 1, "scheduler.horizon_slots", "must be >= 1")
-        bands = {}
-        for i, raw in enumerate(sched.get("rfi_bands", [])):
-            path = f"scheduler.rfi_bands[{i}]"
-            _check_keys(raw, {"alpha_hz", "f_lo_hz", "f_hi_hz"}, path)
-            bands[float(_get(raw, "alpha_hz", path, required=True))] = (
-                float(_get(raw, "f_lo_hz", path, required=True)),
-                float(_get(raw, "f_hi_hz", path, required=True)))
+        sched = doc["scheduler"]
+        self.mode = mode_override or sched["mode"]
+        self.horizon = sched["horizon_slots"]
+        if self.mode == "exact":
+            _require(self.horizon <= scheduling.EXACT_MAX_SLOTS,
+                     "scheduler.horizon_slots", "exact mode allows at most "
+                     f"{scheduling.EXACT_MAX_SLOTS}, not {self.horizon}")
+            _require(len(self.programs) <= scheduling.EXACT_MAX_PROGRAMS,
+                     "programs", "exact mode allows at most "
+                     f"{scheduling.EXACT_MAX_PROGRAMS}, not {len(self.programs)}")
         self.sched_cfg = scheduling.SchedulerConfig(
-            lam=float(sched.get("lambda", 1.0)),
-            risk_cap=float(sched.get("risk_cap", 0.5)),
-            exclusion_radius=float(sched.get("exclusion_radius", 0.1)),
-            bands=bands,
-            band_alpha_tol=self.tracker_cfg.alpha_tol)
-        channels = sched.get("channels")
-        self.channels = None
-        if channels is not None:
-            _check_keys(channels, {"f_start_hz", "channel_width_hz", "n_channels"},
-                        "scheduler.channels")
-            try:
-                self.channels = scheduling.ChannelGrid(
-                    float(_get(channels, "f_start_hz", "scheduler.channels",
-                               required=True)),
-                    float(_get(channels, "channel_width_hz", "scheduler.channels",
-                               required=True)),
-                    int(_get(channels, "n_channels", "scheduler.channels",
-                             required=True)))
-            except ValueError as exc:
-                raise ScenarioError(f"scheduler.channels: {exc}")
-
-        output = _get(doc, "output", "scenario", {})
-        _check_keys(output, {"directory"}, "output")
-        self.out_dir = output.get("directory", "out")
+            lam=sched["lambda"], risk_cap=sched["risk_cap"],
+            exclusion_radius=sched["exclusion_radius"],
+            bands={b["alpha_hz"]: (b["f_lo_hz"], b["f_hi_hz"])
+                   for b in sched["rfi_bands"]},
+            band_alpha_tol=alpha_tol)
+        channels = sched["channels"]
+        self.channels = None if channels is None else _build(
+            "scheduler.channels", scheduling.ChannelGrid, channels["f_start_hz"],
+            channels["channel_width_hz"], channels["n_channels"])
+        self.out_dir = doc["output"]["directory"]
 
     def scene(self):
         return arraysim.Scene(self.geometry, self.sources, self.n_samples,
@@ -384,103 +412,58 @@ def _write_manifest(cfg_path, cfg, out_dir):
         fh.write("\n")
 
 
-def _cmd_run(args):
-    try:
-        cfg = load_scenario(args.config, args.seed, args.mode)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 2
-    if args.validate_only:
-        return 0
-    out_dir = args.out or cfg.out_dir
-    try:
+def _cmd_run(args, cfg):
+    if not args.validate_only:
+        out_dir = args.out or cfg.out_dir
         run_pipeline(cfg, out_dir)
         _write_manifest(args.config, cfg, out_dir)
-    except Exception:
-        traceback.print_exc()
-        return 3
-    return 0
 
 
-def _cmd_validate(args):
-    try:
-        load_scenario(args.config)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 2
+def _cmd_validate(args, cfg):
     print("scenario is valid")
-    return 0
 
 
-def _cmd_skymap(args):
+def _cmd_skymap(args, cfg):
+    data = np.load(Path(args.snapshot) / "snapshot.npy")
+    meta_path = Path(args.snapshot) / "snapshot_meta.json"
+    with open(meta_path) as fh:
+        meta = json.load(fh)
+    # Image with the array that recorded the snapshot, not the one the
+    # scenario and --seed would build now.
+    missing = [k for k in ("positions_m", "reference_freq_hz", "seed")
+               if k not in meta]
+    if missing:
+        raise ValueError(f"{meta_path} lacks {', '.join(missing)};"
+                         " rerun `cyclosky run` to record the array geometry")
+    if args.seed is not None and args.seed != meta["seed"]:
+        raise ValueError(f"{meta_path} was made with seed {meta['seed']},"
+                         f" not --seed {args.seed}")
+    geom = arraysim.ArrayGeometry(np.array(meta["positions_m"], dtype=float),
+                                  meta["reference_freq_hz"])
     try:
-        cfg = load_scenario(args.config, args.seed)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        data = np.load(Path(args.snapshot) / "snapshot.npy")
-        meta_path = Path(args.snapshot) / "snapshot_meta.json"
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-        # Image with the array that recorded the snapshot, not the one the
-        # scenario and --seed would build now.
-        missing = [k for k in ("positions_m", "reference_freq_hz", "seed")
-                   if k not in meta]
-        if missing:
-            print(f"snapshot error: {meta_path} lacks {', '.join(missing)};"
-                  " rerun `cyclosky run` to record the array geometry",
-                  file=sys.stderr)
-            return 3
-        if args.seed is not None and args.seed != meta["seed"]:
-            print(f"snapshot error: {meta_path} was made with seed"
-                  f" {meta['seed']}, not --seed {args.seed}", file=sys.stderr)
-            return 3
-        geom = arraysim.ArrayGeometry(np.array(meta["positions_m"], dtype=float),
-                                      meta["reference_freq_hz"])
-        try:
-            snap = arraysim.ArraySnapshot(data, meta["sample_rate_hz"],
-                                          meta["t0_s"])
-        except ValueError as exc:
-            print(f"snapshot error: {Path(args.snapshot) / 'snapshot.npy'}: {exc}",
-                  file=sys.stderr)
-            return 3
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        if args.alpha is None:
-            smap = imaging.skymap(cyclospec.corr_matrix(snap), geom,
-                                  cfg.skymap_grid)
-        else:
-            ra = cyclospec.cyclic_corr_matrix(snap, args.alpha, args.conjugate)
-            smap = imaging.cyclic_skymap(ra, geom, cfg.skymap_grid)
-        imaging.write_skymap_csv(smap, out / "skymap.csv")
-        imaging.write_skymap_pgm(smap, out / "skymap.pgm")
-    except Exception:
-        traceback.print_exc()
-        return 3
-    return 0
+        snap = arraysim.ArraySnapshot(data, meta["sample_rate_hz"], meta["t0_s"])
+    except ValueError as exc:
+        raise ValueError(f"{Path(args.snapshot) / 'snapshot.npy'}: {exc}") from None
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if args.alpha is None:
+        smap = imaging.skymap(cyclospec.corr_matrix(snap), geom, cfg.skymap_grid)
+    else:
+        ra = cyclospec.cyclic_corr_matrix(snap, args.alpha, args.conjugate)
+        smap = imaging.cyclic_skymap(ra, geom, cfg.skymap_grid)
+    imaging.write_skymap_csv(smap, out / "skymap.csv")
+    imaging.write_skymap_pgm(smap, out / "skymap.pgm")
 
 
-def _cmd_schedule(args):
-    try:
-        cfg = load_scenario(args.config, mode_override=args.mode)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        record = tracking.read_frame_log(args.tracks)
-        tracks = tracking.tracks_from_record(record)
-        sched = scheduling.schedule(cfg.programs, cfg.site, cfg.horizon, tracks,
-                                    cfg.mode, cfg.sched_cfg)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        scheduling.write_schedule_json(sched, cfg.site, cfg.programs,
-                                       out / "schedule.json")
-        _write_flag_mask(cfg, tracks, sched, out)
-    except Exception:
-        traceback.print_exc()
-        return 3
-    return 0
+def _cmd_schedule(args, cfg):
+    tracks = tracking.tracks_from_record(tracking.read_frame_log(args.tracks))
+    sched = scheduling.schedule(cfg.programs, cfg.site, cfg.horizon, tracks,
+                                cfg.mode, cfg.sched_cfg)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    scheduling.write_schedule_json(sched, cfg.site, cfg.programs,
+                                   out / "schedule.json")
+    _write_flag_mask(cfg, tracks, sched, out)
 
 
 def build_parser():
@@ -524,8 +507,19 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    """Exit 0 on success, 2 on a scenario error, 3 on a runtime failure."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        cfg = load_scenario(args.config, getattr(args, "seed", None),
+                            getattr(args, "mode", None))
+        args.func(args, cfg)
+    except ScenarioError as exc:
+        print(f"scenario error: {exc}", file=sys.stderr)
+        return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ alpha. Stationary inputs average to zero at alpha != 0; a cyclostationary
 source leaves a rank-1 matrix carrying its steering vector.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,14 +100,15 @@ def _as_fft_bins(alphas, sample_rate, n):
 
 
 def cyclic_spectrum(snap: ArraySnapshot, alphas, conjugate=False,
-                    method="auto") -> CyclicSpectrum:
+                    method="fft") -> CyclicSpectrum:
     """Scan the Frobenius norm of the cyclic matrix over an alpha grid.
 
     method="fft" requires the grid to sit on multiples of sample_rate/N and
     matches the direct estimator to FFT_MATCH_RTOL. It transforms only the
     pairs j >= i, M(M+1)/2 FFTs, because the rest follow by symmetry: with
     F_ij = FFT(z_i z_j^*), the non-conjugate |R_ji| at bin k is |F_ij[-k]| / N;
-    the conjugate matrix is symmetric, so |R_ji| = |R_ij|.
+    the conjugate matrix is symmetric, so |R_ji| = |R_ij|. method="direct"
+    takes any grid at O(K M^2 N) for K alphas; it is the reference.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     if alphas.size == 0:
@@ -116,10 +117,8 @@ def cyclic_spectrum(snap: ArraySnapshot, alphas, conjugate=False,
         raise ValueError("alpha grid must be strictly increasing")
     z = snap.data
     n = snap.n_samples
-    bins = _as_fft_bins(alphas, snap.sample_rate, n)
-    if method == "auto":
-        method = "fft" if bins is not None else "direct"
     if method == "fft":
+        bins = _as_fft_bins(alphas, snap.sample_rate, n)
         if bins is None:
             raise ValueError("fft method needs alphas on the sample_rate/N grid")
         zc = z if conjugate else z.conj()

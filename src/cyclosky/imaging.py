@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arraysim import C_LIGHT, ArrayGeometry, DirectionLM, steering_vector
+from .arraysim import C_LIGHT, ArrayGeometry, DirectionLM
 
 KIND_CLASSICAL = "classical"
 KIND_CYCLIC = "cyclic"

@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cyclosky import arraysim, imaging, scheduling, tracking
 from cyclosky.arraysim import ArraySnapshot
-from cyclosky.cli import load_scenario, main
+from cyclosky.cli import load_scenario, main, run_pipeline
 from cyclosky.cyclospec import cyclic_corr_matrix, read_spectrum_csv
 from cyclosky.imaging import cyclic_skymap, read_skymap_csv
 from cyclosky.scheduling import read_flag_mask_csv, read_schedule_json
@@ -98,18 +99,26 @@ class TestValidation:
                      "--out", str(tmp_path / "out")]) == 2
         assert "scene.sources[0].snr_db" in capsys.readouterr().err
 
-    def test_overflowing_frame_fails_loudly(self, tmp_path, capsys):
-        # Power 10 ** 308.2 is finite, but its frame covariance overflows.
+    def test_overflowing_frame_fails_loudly(self, tmp_path):
+        # Validation bounds snr_db; raised past that bound afterwards, the
+        # frame covariance overflows and the run stops at frame 0.
+        cfg = load_scenario(write_scenario(tmp_path, SMALL_SCENARIO))
+        cfg.sources[0].snr_db = 3082.0
+        with np.errstate(all="ignore"), pytest.raises(
+                ValueError, match=r"frame 0: covariance has \d+ non-finite entries"):
+            run_pipeline(cfg, tmp_path / "out")
+
+    def test_snr_db_just_below_the_bound_runs_clean(self, tmp_path):
+        # frames.length x antennas x power = 1024 x 12 x 10**145.9 = 9.8e149,
+        # just below the 1e150 bound (BAD_SCENARIOS holds 1530 and 3082).
         doc = copy.deepcopy(SMALL_SCENARIO)
-        doc["scene"]["sources"][0]["snr_db"] = 3082.0
-        path = write_scenario(tmp_path, doc)
+        doc["scene"]["sources"][0]["snr_db"] = 1459.0
         out = tmp_path / "out"
-        with np.errstate(all="ignore"):
-            assert main(["run", "--config", str(path), "--out", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert "ValueError: frame 0: covariance has" in err
-        assert "non-finite entries" in err
-        assert not (out / "manifest.json").exists()
+        assert main(["run", "--config", str(write_scenario(tmp_path, doc)),
+                     "--out", str(out)]) == 0
+        for name in ("classical", "cyclic"):
+            smap = read_skymap_csv(out / "skymaps" / f"frame_0000_{name}.csv")
+            assert np.all(np.isfinite(smap.power))
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 2
@@ -119,6 +128,180 @@ class TestValidation:
         doc["frames"]["length"] = 1000
         path = write_scenario(tmp_path, doc)
         assert main(["validate", "--config", str(path)]) == 2
+
+
+def exact_mode(doc, horizon=12, programs=6):
+    doc["scheduler"].update(mode="exact", horizon_slots=horizon)
+    doc["programs"] = [dict(doc["programs"][0], id=i) for i in range(programs)]
+
+
+def set_path(doc, path, value):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+BPSK = ("scene", "sources", 0)
+
+# (dotted key the error must name, edit: (path, value) or a function)
+BAD_SCENARIOS = [
+    ("scene.n_samples", (("scene", "n_samples"), "abc")),
+    ("seed", (("seed",), "abc")),
+    ("tracker.gate_min", (("tracker", "gate_min"), "x")),
+    ("programs", (("programs",), 5)),
+    ("scene.sources[0].baud_rate_hz", ((*BPSK, "baud_rate_hz"), "fast")),
+    ("scene.sources[0].direction.rate",
+     ((*BPSK, "direction"), {"start": {"l": 0.4, "m": -0.3}, "rate": 5})),
+    ("skymap.n_l", (("skymap", "n_l"), 48.9)),
+    ("analysis.non_conjugate", (("analysis", "non_conjugate"), "false")),
+    ("analysis.max_detections_per_frame",
+     (("analysis", "max_detections_per_frame"), -1)),
+    ("tracker.drop_after", (("tracker", "drop_after"), -1)),
+    ("scene.n_samples", (("scene", "n_samples"), True)),
+    ("analysis.max_peaks_per_alpha", (("analysis", "max_peaks_per_alpha"), 0)),
+    ("scheduler.exclusion_radius", (("scheduler", "exclusion_radius"), 0)),
+    ("scene.sources[0].snr_db", ((*BPSK, "snr_db"), 3082.0)),
+    ("scene.sources[0].snr_db", ((*BPSK, "snr_db"), 1530.0)),
+    ("scheduler.horizon_slots", lambda doc: exact_mode(doc, horizon=99)),
+    ("programs", lambda doc: exact_mode(doc, programs=7)),
+    ("scene.sources[0].seed", ((*BPSK, "seed"), -1)),
+    ("scene.system_noise_power", (("scene", "system_noise_power"), float("nan"))),
+    ("scene.reference_freq_hz", (("scene", "reference_freq_hz"), None)),
+    ("scene.sources[0].direction.l", ((*BPSK, "direction", "l"), float("inf"))),
+    ("scene.sources[0].direction.rate",
+     ((*BPSK, "direction"), {"start": {"l": 0.4, "m": -0.3}, "rate": [1000.0, 0]})),
+    ("scene.sources[0].freq_hz", ((*BPSK, "freq_hz"), 2e6)),
+]
+
+
+class TestBadScenarios:
+    @pytest.mark.parametrize("key,edit", BAD_SCENARIOS,
+                             ids=[f"{i}-{k}" for i, (k, _) in enumerate(BAD_SCENARIOS)])
+    def test_exits_2_naming_the_key(self, tmp_path, capsys, key, edit):
+        doc = copy.deepcopy(SMALL_SCENARIO)
+        if callable(edit):
+            edit(doc)
+        else:
+            set_path(doc, *edit)
+        path = write_scenario(tmp_path, doc)
+        out = tmp_path / "out"
+        for command in (["validate"], ["run", "--out", str(out)],
+                        ["skymap", "--snapshot", "none", "--out", str(out)],
+                        ["schedule", "--tracks", "none.json", "--out", str(out)]):
+            assert main(command + ["--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"scenario error: {key}: "), err
+            assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_exact_mode_limits_are_inclusive(self, tmp_path):
+        doc = copy.deepcopy(SMALL_SCENARIO)
+        exact_mode(doc, horizon=12, programs=6)
+        assert main(["validate", "--config", str(write_scenario(tmp_path, doc))]) == 0
+
+    def test_mode_override_applies_exact_limits(self, tmp_path, capsys):
+        doc = copy.deepcopy(SMALL_SCENARIO)
+        doc["scheduler"]["horizon_slots"] = 13
+        path = write_scenario(tmp_path, doc)
+        assert main(["validate", "--config", str(path)]) == 0
+        for command in (["run", "--out", str(tmp_path / "out")],
+                        ["schedule", "--tracks", "none.json",
+                         "--out", str(tmp_path / "out")]):
+            assert main(command + ["--config", str(path), "--mode", "exact"]) == 2
+            assert ("scenario error: scheduler.horizon_slots"
+                    in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_override(self, scenario, capsys):
+        assert main(["run", "--config", str(scenario), "--seed", "-1",
+                     "--validate-only"]) == 2
+        assert "scenario error: seed: " in capsys.readouterr().err
+
+
+class TestDefaults:
+    MINIMAL = {
+        "schema_version": 1,
+        "scene": {"n_antennas": 4, "reference_freq_hz": 1.42e9,
+                  "n_samples": 512, "sample_rate_hz": 1e6,
+                  "sources": [
+                      {"kind": "bpsk", "snr_db": 0, "baud_rate_hz": 1e5,
+                       "direction": {"l": 0.1, "m": 0.2}},
+                      {"kind": "cw", "snr_db": -3.0,
+                       "direction": {"start": {"l": 0, "m": -0.5}}}]},
+        "programs": [{"id": 3, "ra_deg": 90, "dec_deg": -45.0, "f_lo_hz": 1e9,
+                      "f_hi_hz": 2e9, "duration_slots": 2, "priority": 1}],
+        "scheduler": {"channels": {"f_start_hz": 1e9, "channel_width_hz": 1e6,
+                                   "n_channels": 4},
+                      "rfi_bands": [{"alpha_hz": 1e5, "f_lo_hz": 1e9,
+                                     "f_hi_hz": 1.1e9}]},
+    }
+
+    def test_every_default(self, tmp_path):
+        cfg = load_scenario(write_scenario(tmp_path, self.MINIMAL))
+        assert cfg.seed == 0
+        expected = arraysim.default_geometry(4, 1.42e9, 0, 6.0)
+        assert np.array_equal(cfg.geometry.positions, expected.positions)
+        assert cfg.geometry.f0 == 1.42e9
+        assert (cfg.n_samples, cfg.sample_rate, cfg.system_noise_power) == (
+            512, 1e6, 1.0)
+        assert cfg.sources == [
+            arraysim.SourceSpec("bpsk", 0.0, arraysim.DirectionLM(0.1, 0.2),
+                                baud_rate=1e5, carrier_offset=0.0, freq=0.0,
+                                phase=0.0, seed=None),
+            arraysim.SourceSpec("cw", -3.0, arraysim.TrajectorySpec(
+                arraysim.DirectionLM(0.0, -0.5), (0.0, 0.0)))]
+        assert (cfg.frame_length, cfg.n_frames) == (512, 1)
+        assert (cfg.scan_non_conjugate, cfg.scan_conjugate) == (True, True)
+        assert (cfg.max_detections, cfg.max_peaks) == (3, 2)
+        assert cfg.skymap_grid == imaging.SkymapGrid(-1.0, 1.0, -1.0, 1.0, 128, 128)
+        assert cfg.tracker_cfg == tracking.TrackerConfig(
+            s_stat=1e-5, s_fast=5e-3, gate_min=0.01, gate_sigma=3.0,
+            alpha_tol=1e6 / 512, drop_after=5, min_points=5)
+        assert cfg.site == scheduling.SiteModel(0.0, 600.0, 0.0)
+        assert cfg.programs == [scheduling.Program(
+            3, np.deg2rad(90.0), np.deg2rad(-45.0), (1e9, 2e9), 2, 1.0)]
+        assert (cfg.mode, cfg.horizon) == ("greedy", 12)
+        assert cfg.sched_cfg == scheduling.SchedulerConfig(
+            lam=1.0, risk_cap=0.5, exclusion_radius=0.1,
+            bands={1e5: (1e9, 1.1e9)}, band_alpha_tol=1e6 / 512)
+        assert cfg.channels == scheduling.ChannelGrid(1e9, 1e6, 4)
+        assert cfg.out_dir == "out"
+        for value in (cfg.sources[0].snr_db, cfg.site.slot_length,
+                      cfg.programs[0].priority, cfg.tracker_cfg.alpha_tol):
+            assert type(value) is float
+        for value in (cfg.n_samples, cfg.frame_length, cfg.horizon,
+                      cfg.max_detections, cfg.programs[0].duration):
+            assert type(value) is int
+
+    def test_optional_sections_may_be_left_out(self, tmp_path):
+        doc = copy.deepcopy(self.MINIMAL)
+        del doc["programs"], doc["scheduler"]
+        doc["scene"]["sources"] = []
+        cfg = load_scenario(write_scenario(tmp_path, doc))
+        assert cfg.sources == [] and cfg.programs == []
+        assert cfg.channels is None
+        assert cfg.sched_cfg.bands == {}
+
+    def test_null_where_the_default_is_none(self, tmp_path):
+        doc = copy.deepcopy(self.MINIMAL)
+        doc["scene"]["sources"][0]["seed"] = None
+        doc["tracker"] = {"alpha_tol_hz": None}
+        doc["scheduler"]["channels"] = None
+        doc["scene"]["positions_m"] = None
+        cfg = load_scenario(write_scenario(tmp_path, doc))
+        assert cfg.sources[0].seed is None
+        assert cfg.tracker_cfg.alpha_tol == 1e6 / 512
+        assert cfg.channels is None
+        assert cfg.geometry.n_antennas == 4
+
+    def test_positions_replace_the_random_array(self, tmp_path):
+        doc = copy.deepcopy(self.MINIMAL)
+        del doc["scene"]["n_antennas"]
+        doc["scene"]["positions_m"] = [[0, 0], [1.5, 0], [0, 2]]
+        cfg = load_scenario(write_scenario(tmp_path, doc))
+        assert np.array_equal(cfg.geometry.positions,
+                              [[0.0, 0.0], [1.5, 0.0], [0.0, 2.0]])
 
 
 class TestRun:

@@ -192,6 +192,13 @@ class TestCyclicSpectrum:
         scaled = cyclic_spectrum(ArraySnapshot(c * snap.data, snap.sample_rate), grid)
         assert np.allclose(scaled.magnitudes, abs(c) ** 2 * base.magnitudes)
 
+    def test_off_grid_alpha_needs_the_direct_method(self):
+        snap = noise_snapshot(3, 64, seed=0)
+        off_grid = [0.5 * snap.sample_rate / 64]
+        with pytest.raises(ValueError, match="sample_rate/N grid"):
+            cyclic_spectrum(snap, off_grid)
+        assert cyclic_spectrum(snap, off_grid, method="direct").magnitudes.size == 1
+
     def test_rejects_unsorted_grid(self):
         snap = noise_snapshot(3, 64, seed=0)
         with pytest.raises(ValueError):
