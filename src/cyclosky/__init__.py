@@ -9,9 +9,9 @@ from .cyclospec import (CorrMatrix, CyclicCorrMatrix, CyclicSpectrum,
                         corr_matrix, cyclic_corr_matrix, cyclic_spectrum,
                         detect_cyclic_freqs, fft_alpha_grid)
 from .imaging import Skymap, SkymapGrid, cyclic_skymap, locate_peaks, skymap
-from .signals import ComplexSeries, gen_bpsk, gen_cw, gen_noise
-from .tracking import (Detection, RfiTrack, Tracker, TrackerConfig, associate,
-                       classify, predict)
+from .signals import gen_bpsk, gen_cw, gen_noise
+from .tracking import (Detection, RfiTrack, Tracker, TrackerConfig, classify,
+                       predict)
 from .scheduling import (ChannelGrid, FlagMask, Program, Schedule,
                          SchedulerConfig, SiteModel, corruption_risk,
                          flag_mask, schedule, target_position)

@@ -168,13 +168,13 @@ def _source_waveform(src: SourceSpec, scene: Scene, index: int) -> np.ndarray:
     power = 10.0 ** (src.snr_db / 10.0) * reference
     seed = src.seed if src.seed is not None else source_seed(scene.seed, index)
     if src.kind == KIND_ASTRO:
-        return signals.gen_noise(scene.n_samples, power, seed, scene.sample_rate).samples
+        return signals.gen_noise(scene.n_samples, power, seed)
     if src.kind == KIND_BPSK:
         return signals.gen_bpsk(scene.n_samples, src.baud_rate, src.carrier_offset,
-                                scene.sample_rate, power, seed).samples
+                                scene.sample_rate, power, seed)
     if src.kind == KIND_CW:
         return signals.gen_cw(scene.n_samples, src.freq, scene.sample_rate,
-                              power, src.phase).samples
+                              power, src.phase)
     raise ValueError(f"unknown source kind {src.kind!r}")
 
 
@@ -186,21 +186,17 @@ def synthesize(scene: Scene) -> ArraySnapshot:
     data = np.zeros((m, n), dtype=np.complex128)
     for index, src in enumerate(scene.sources):
         wave = _source_waveform(src, scene, index)
-        if isinstance(src.direction, TrajectorySpec) and src.direction.rate != (0.0, 0.0):
-            traj = src.direction
-            # Reject trajectories that set below the horizon mid-scene.
-            traj.position(scene.t0)
-            traj.position(scene.t0 + n / scene.sample_rate)
-            for start in range(0, n, MOTION_BLOCK):
-                stop = min(start + MOTION_BLOCK, n)
-                tc = scene.t0 + (start + stop) / 2.0 / scene.sample_rate
-                a = steering_vector(geom, traj.position(tc))
-                data[:, start:stop] += a[:, None] * wave[None, start:stop]
-        else:
-            direction = (src.direction.start
-                         if isinstance(src.direction, TrajectorySpec) else src.direction)
-            a = steering_vector(geom, direction)
-            data += a[:, None] * wave[None, :]
+        traj = src.direction
+        if isinstance(traj, DirectionLM):
+            traj = TrajectorySpec(traj)
+        # Reject trajectories that set below the horizon mid-scene.
+        traj.position(scene.t0)
+        traj.position(scene.t0 + n / scene.sample_rate)
+        for start in range(0, n, MOTION_BLOCK):
+            stop = min(start + MOTION_BLOCK, n)
+            tc = scene.t0 + (start + stop) / 2.0 / scene.sample_rate
+            a = steering_vector(geom, traj.position(tc))
+            data[:, start:stop] += a[:, None] * wave[None, start:stop]
     if scene.system_noise_power > 0:
         rng = np.random.default_rng(_noise_seed(scene.seed))
         scale = np.sqrt(scene.system_noise_power / 2.0)

@@ -456,7 +456,12 @@ def _cmd_skymap(args, cfg):
 
 
 def _cmd_schedule(args, cfg):
-    tracks = tracking.tracks_from_record(tracking.read_frame_log(args.tracks))
+    try:
+        tracks = tracking.tracks_from_record(tracking.read_frame_log(args.tracks))
+    except KeyError as exc:
+        raise ValueError(f"{args.tracks} is not a frame log: it lacks key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"{args.tracks} is not a frame log: {exc}") from None
     sched = scheduling.schedule(cfg.programs, cfg.site, cfg.horizon, tracks,
                                 cfg.mode, cfg.sched_cfg)
     out = Path(args.out)

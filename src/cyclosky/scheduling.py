@@ -282,15 +282,11 @@ def flag_mask(tracks, sched: Schedule, site: SiteModel, programs,
             continue
         t = slot * site.slot_length
         for tr in fast:
-            pred = predict(tr, t)
-            if pred.below_horizon:
-                continue
-            if pointing.distance(pred.direction) - pred.radius >= cfg.exclusion_radius:
-                continue
-            band = cfg.band_for(tr.alpha)
+            # Risk 1 means inside the exclusion core: the roll-off outside
+            # it is at most exp(-1/2).
+            this_track = [(predict(tr, t), tr.alpha)]
             for ch in range(channels.n_channels):
-                lo, hi = channels.span(ch)
-                if band[0] < hi and band[1] > lo:
+                if corruption_risk(pointing, channels.span(ch), this_track, cfg) == 1.0:
                     flags[slot, ch] = True
     return FlagMask(flags, channels.channel_width, channels.f_start,
                     site.slot_length)

@@ -4,33 +4,10 @@ All generators are pure functions of their parameters and seed, so a scene
 can be re-synthesized bit-identically in any evaluation order.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass
-class ComplexSeries:
-    """Uniformly sampled complex baseband voltages."""
-
-    samples: np.ndarray
-    sample_rate: float
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.complex128)
-        if self.samples.ndim != 1 or self.samples.size < 1:
-            raise ValueError("series must hold at least one sample")
-        if not self.sample_rate > 0:
-            raise ValueError("sample_rate must be positive")
-
-    def __len__(self):
-        return self.samples.size
-
-    def mean_power(self) -> float:
-        return float(np.mean(np.abs(self.samples) ** 2))
-
-
-def gen_noise(n, power, seed, sample_rate=1.0) -> ComplexSeries:
+def gen_noise(n, power, seed) -> np.ndarray:
     """Circular complex Gaussian noise with the requested mean power."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -38,11 +15,10 @@ def gen_noise(n, power, seed, sample_rate=1.0) -> ComplexSeries:
         raise ValueError("power must be non-negative")
     rng = np.random.default_rng(seed)
     scale = np.sqrt(power / 2.0)
-    s = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return ComplexSeries(s, sample_rate)
+    return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
-def gen_bpsk(n, baud_rate, carrier_offset, sample_rate, power, seed) -> ComplexSeries:
+def gen_bpsk(n, baud_rate, carrier_offset, sample_rate, power, seed) -> np.ndarray:
     """Rectangular-pulse BPSK on a complex exponential carrier offset.
 
     Random equiprobable +/-1 symbols are held for sample_rate/baud_rate
@@ -62,16 +38,14 @@ def gen_bpsk(n, baud_rate, carrier_offset, sample_rate, power, seed) -> ComplexS
     idx = np.searchsorted(bounds, np.arange(n), side="right")
     k = np.arange(n)
     carrier = np.exp(2j * np.pi * carrier_offset * k / sample_rate)
-    s = np.sqrt(power) * symbols[idx] * carrier
-    return ComplexSeries(s, sample_rate)
+    return np.sqrt(power) * symbols[idx] * carrier
 
 
-def gen_cw(n, freq, sample_rate, power, phase=0.0) -> ComplexSeries:
+def gen_cw(n, freq, sample_rate, power, phase=0.0) -> np.ndarray:
     """Constant-amplitude complex tone."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if abs(freq) >= sample_rate / 2:
         raise ValueError("freq would alias")
     k = np.arange(n)
-    s = np.sqrt(power) * np.exp(1j * (2 * np.pi * freq * k / sample_rate + phase))
-    return ComplexSeries(s, sample_rate)
+    return np.sqrt(power) * np.exp(1j * (2 * np.pi * freq * k / sample_rate + phase))

@@ -6,7 +6,7 @@ separate the stationary / slow / fast classes and to extrapolate.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -40,21 +40,21 @@ class Detection:
 
 @dataclass
 class MotionFit:
-    """l(t) = l0 + dl * t, ditto for m; residual_rms over both axes."""
+    """l(t) = l0 + dl_dt * t, ditto for m; residual_rms over both axes."""
 
-    l0: float = 0.0
-    m0: float = 0.0
-    dl: float = 0.0
-    dm: float = 0.0
-    residual_rms: float = 0.0
+    l0: float
+    m0: float
+    dl_dt: float
+    dm_dt: float
+    residual_rms: float
 
 
 @dataclass
 class TrackStats:
-    t_first: float = 0.0
-    t_last: float = 0.0
-    mean_l: float = 0.0
-    mean_m: float = 0.0
+    t_first: float
+    t_last: float
+    mean_l: float
+    mean_m: float
 
 
 @dataclass
@@ -79,7 +79,7 @@ class RfiTrack:
     def speed(self) -> float:
         if self.model is None:
             return 0.0
-        return float(np.hypot(self.model.dl, self.model.dm))
+        return float(np.hypot(self.model.dl_dt, self.model.dm_dt))
 
 
 def fit_motion(track: RfiTrack) -> MotionFit:
@@ -123,15 +123,15 @@ def predict(track: RfiTrack, t: float) -> Prediction:
     span = max(stats.t_last - stats.t_first, np.finfo(float).tiny)
     horizon = max(t - stats.t_last, 0.0)
     radius = model.residual_rms * (1.0 + horizon / span)
-    l = model.l0 + model.dl * t
-    m = model.m0 + model.dm * t
+    l = model.l0 + model.dl_dt * t
+    m = model.m0 + model.dm_dt * t
     norm = np.hypot(l, m)
     if norm <= 1.0:
         return Prediction(DirectionLM(l, m), radius)
     # Extrapolation leaves the hemisphere: report it set, with the time the
     # fitted path crossed the unit circle.
-    a = model.dl ** 2 + model.dm ** 2
-    b = 2.0 * (model.l0 * model.dl + model.m0 * model.dm)
+    a = model.dl_dt ** 2 + model.dm_dt ** 2
+    b = 2.0 * (model.l0 * model.dl_dt + model.m0 * model.dm_dt)
     c = model.l0 ** 2 + model.m0 ** 2 - 1.0
     roots = np.roots([a, b, c]) if a > 0 else np.array([])
     real = sorted(r.real for r in roots if abs(r.imag) < 1e-12 and r.real <= t)
@@ -149,57 +149,6 @@ def _gate_and_prediction(track: RfiTrack, frame_time: float, cfg: TrackerConfig)
     return track.history[-1][1], cfg.gate_min
 
 
-def associate(tracks, detections, cfg: TrackerConfig, frame_time=None, next_id=0):
-    """Greedy nearest-neighbor update for one frame of detections.
-
-    Returns (live tracks, retired tracks, next_id). Detections must share a
-    frame time; ties break on (track id, detection index).
-    """
-    if detections:
-        times = {d.time for d in detections}
-        if len(times) > 1:
-            raise ValueError("detections must share one frame time")
-        frame_time = detections[0].time
-    if frame_time is None:
-        raise ValueError("frame_time is required when there are no detections")
-    candidates = {tr.id: _gate_and_prediction(tr, frame_time, cfg) for tr in tracks}
-    matched = set()
-    new_tracks = []
-    for det in detections:
-        best = None
-        for tr in tracks:
-            if tr.id in matched or tr.conjugate != det.conjugate:
-                continue
-            if abs(tr.alpha - det.alpha) > cfg.alpha_tol:
-                continue
-            pred_dir, gate = candidates[tr.id]
-            dist = pred_dir.distance(det.direction)
-            if dist > gate:
-                continue
-            key = (dist, tr.id)
-            if best is None or key < best[0]:
-                best = (key, tr)
-        if best is not None:
-            tr = best[1]
-            matched.add(tr.id)
-            tr.history.append((det.time, det.direction, det.power))
-            tr.misses = 0
-            classify(tr, cfg)
-        else:
-            tr = RfiTrack(next_id, det.alpha, det.conjugate,
-                          [(det.time, det.direction, det.power)])
-            classify(tr, cfg)
-            next_id += 1
-            new_tracks.append(tr)
-    live = []
-    retired = []
-    for tr in tracks:
-        if tr.id not in matched:
-            tr.misses += 1
-        (retired if tr.misses > cfg.drop_after else live).append(tr)
-    return live + new_tracks, retired, next_id
-
-
 class Tracker:
     """Stateful per-frame tracker; one writer per frame."""
 
@@ -210,9 +159,55 @@ class Tracker:
         self.next_id = 0
 
     def step(self, detections, frame_time=None):
-        self.tracks, retired, self.next_id = associate(
-            self.tracks, detections, self.cfg, frame_time, self.next_id)
-        self.retired.extend(retired)
+        """Greedy nearest-neighbor update for one frame of detections.
+
+        Returns the live tracks. Detections must share a frame time; ties
+        break on (track id, detection index).
+        """
+        if detections:
+            times = {d.time for d in detections}
+            if len(times) > 1:
+                raise ValueError("detections must share one frame time")
+            frame_time = detections[0].time
+        if frame_time is None:
+            raise ValueError("frame_time is required when there are no detections")
+        cfg = self.cfg
+        candidates = {tr.id: _gate_and_prediction(tr, frame_time, cfg)
+                      for tr in self.tracks}
+        matched = set()
+        new_tracks = []
+        for det in detections:
+            best = None
+            for tr in self.tracks:
+                if tr.id in matched or tr.conjugate != det.conjugate:
+                    continue
+                if abs(tr.alpha - det.alpha) > cfg.alpha_tol:
+                    continue
+                pred_dir, gate = candidates[tr.id]
+                dist = pred_dir.distance(det.direction)
+                if dist > gate:
+                    continue
+                key = (dist, tr.id)
+                if best is None or key < best[0]:
+                    best = (key, tr)
+            if best is not None:
+                tr = best[1]
+                matched.add(tr.id)
+                tr.history.append((det.time, det.direction, det.power))
+                tr.misses = 0
+                classify(tr, cfg)
+            else:
+                tr = RfiTrack(self.next_id, det.alpha, det.conjugate,
+                              [(det.time, det.direction, det.power)])
+                classify(tr, cfg)
+                self.next_id += 1
+                new_tracks.append(tr)
+        live = []
+        for tr in self.tracks:
+            if tr.id not in matched:
+                tr.misses += 1
+            (self.retired if tr.misses > cfg.drop_after else live).append(tr)
+        self.tracks = live + new_tracks
         return self.tracks
 
     def frame_record(self, frame_time) -> dict:
@@ -220,7 +215,7 @@ class Tracker:
         records = []
         for tr in sorted(self.tracks, key=lambda t: t.id):
             t, d, p = tr.history[-1]
-            rec = {
+            records.append({
                 "id": tr.id,
                 "alpha_hz": tr.alpha,
                 "conjugate": tr.conjugate,
@@ -228,17 +223,9 @@ class Tracker:
                 "position": [d.l, d.m],
                 "power": p,
                 "n_points": len(tr.history),
-                "model": None,
-                "stats": None,
-            }
-            if tr.model is not None:
-                rec["model"] = {"l0": tr.model.l0, "m0": tr.model.m0,
-                                "dl_dt": tr.model.dl, "dm_dt": tr.model.dm,
-                                "residual_rms": tr.model.residual_rms}
-            if tr.stats is not None:
-                rec["stats"] = {"t_first": tr.stats.t_first, "t_last": tr.stats.t_last,
-                                "mean_l": tr.stats.mean_l, "mean_m": tr.stats.mean_m}
-            records.append(rec)
+                "model": None if tr.model is None else asdict(tr.model),
+                "stats": None if tr.stats is None else asdict(tr.stats),
+            })
         return {"time": frame_time, "tracks": records}
 
 
@@ -257,14 +244,8 @@ def tracks_from_record(record: dict):
     """Rebuild prediction-capable tracks from a frame log document."""
     tracks = []
     for rec in record["tracks"]:
-        model = stats = None
-        if rec["model"] is not None:
-            m = rec["model"]
-            model = MotionFit(m["l0"], m["m0"], m["dl_dt"], m["dm_dt"],
-                              m["residual_rms"])
-        if rec["stats"] is not None:
-            s = rec["stats"]
-            stats = TrackStats(s["t_first"], s["t_last"], s["mean_l"], s["mean_m"])
+        model = None if rec["model"] is None else MotionFit(**rec["model"])
+        stats = None if rec["stats"] is None else TrackStats(**rec["stats"])
         tracks.append(RfiTrack(rec["id"], rec["alpha_hz"], rec["conjugate"],
                                [(record["time"], DirectionLM(*rec["position"]),
                                  rec["power"])],

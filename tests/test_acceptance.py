@@ -209,8 +209,8 @@ def test_criterion_7_tracker(report):
         tracker.step([Detection(float(k), 1e5, True,
                                 DirectionLM(-0.2 + dl * k, 0.1 + dm * k), 1.0)])
     noiseless_ok = (len(tracker.tracks) == 1
-                    and abs(tracker.tracks[0].model.dl - dl) < 1e-9
-                    and abs(tracker.tracks[0].model.dm - dm) < 1e-9)
+                    and abs(tracker.tracks[0].model.dl_dt - dl) < 1e-9
+                    and abs(tracker.tracks[0].model.dm_dt - dm) < 1e-9)
     track = tracker.tracks[0]
     s = track.speed()
     boundary_ok = (

@@ -119,7 +119,7 @@ class TestSynthesize:
         scene = Scene(small_geom, [src], n, fs, 0.0, seed=7)
         snap = synthesize(scene)
         from cyclosky.signals import gen_cw
-        wave = gen_cw(n, 1e4, fs, 1.0, 0.0).samples
+        wave = gen_cw(n, 1e4, fs, 1.0, 0.0)
         expected = np.zeros((8, n), dtype=complex)
         for start in range(0, n, MOTION_BLOCK):
             stop = min(start + MOTION_BLOCK, n)
@@ -127,6 +127,23 @@ class TestSynthesize:
             a = steering_vector(small_geom, traj.position(tc))
             expected[:, start:stop] = a[:, None] * wave[None, start:stop]
         assert np.array_equal(snap.data, expected)
+
+    def test_fixed_source_is_one_steered_waveform(self, small_geom):
+        # A fixed direction is a trajectory at rate (0, 0): the same steering
+        # vector over every motion block, including a partial last one.
+        d = DirectionLM(0.3, -0.2)
+        n = 3 * MOTION_BLOCK + 17
+        fs = 1e6
+
+        def synth(direction):
+            src = SourceSpec("cw", 0.0, direction, freq=1e4, seed=7)
+            return synthesize(Scene(small_geom, [src], n, fs, 0.0, seed=7)).data
+
+        from cyclosky.signals import gen_cw
+        wave = gen_cw(n, 1e4, fs, 1.0, 0.0)
+        fixed = synth(d)
+        assert np.array_equal(fixed, steering_vector(small_geom, d)[:, None] * wave)
+        assert np.array_equal(fixed, synth(TrajectorySpec(d, (0.0, 0.0))))
 
     def test_rejects_zero_samples(self, small_geom):
         with pytest.raises(ValueError):

@@ -510,6 +510,31 @@ class TestScheduleCommand:
         assert not (sch_out / "flagmask.csv").exists()
         assert (sch_out / "schedule.json").exists()
 
+    @pytest.mark.parametrize("name, edit, named", [
+        ("snapshot_meta.json", None, "lacks key 'tracks'"),
+        ("no_model.json", lambda log: log["tracks"][0].pop("model"),
+         "lacks key 'model'"),
+        ("no_rate.json", lambda log: log["tracks"][0]["model"].pop("dl_dt"),
+         "'dl_dt'"),
+    ])
+    def test_not_a_frame_log_is_runtime_error(self, scenario, tmp_path, capsys,
+                                              name, edit, named):
+        run_out = tmp_path / "run_out"
+        assert main(["run", "--config", str(scenario), "--out", str(run_out)]) == 0
+        path = run_out / name
+        if edit is not None:
+            log = read_frame_log(sorted(run_out.glob("tracks/frame_*.json"))[-1])
+            assert log["tracks"] and log["tracks"][0]["model"] is not None
+            edit(log)
+            path.write_text(json.dumps(log))
+        sch_out = tmp_path / "sch"
+        assert main(["schedule", "--config", str(scenario), "--tracks", str(path),
+                     "--out", str(sch_out)]) == 3
+        err = capsys.readouterr().err
+        assert f"ValueError: {path} is not a frame log" in err
+        assert named in err
+        assert not (sch_out / "schedule.json").exists()
+
     def test_mode_override_exact(self, scenario, tmp_path):
         run_out = tmp_path / "run_out"
         assert main(["run", "--config", str(scenario), "--out", str(run_out)]) == 0

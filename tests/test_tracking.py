@@ -27,14 +27,14 @@ class TestMotionFit:
         fit = track.model
         assert fit.l0 == pytest.approx(0.1, abs=1e-12)
         assert fit.m0 == pytest.approx(-0.2, abs=1e-12)
-        assert fit.dl == pytest.approx(2e-3, abs=1e-12)
-        assert fit.dm == pytest.approx(-1e-3, abs=1e-12)
+        assert fit.dl_dt == pytest.approx(2e-3, abs=1e-12)
+        assert fit.dm_dt == pytest.approx(-1e-3, abs=1e-12)
         assert fit.residual_rms < 1e-12
 
     def test_single_point_fit(self):
         track = RfiTrack(0, 1.0, True, [(3.0, DirectionLM(0.2, 0.3), 1.0)])
         fit = fit_motion(track)
-        assert (fit.l0, fit.m0, fit.dl, fit.dm) == (0.2, 0.3, 0.0, 0.0)
+        assert (fit.l0, fit.m0, fit.dl_dt, fit.dm_dt) == (0.2, 0.3, 0.0, 0.0)
 
     def test_noisy_fit_residual(self):
         rng = np.random.default_rng(7)
@@ -47,7 +47,7 @@ class TestMotionFit:
                                   1.0))
         fit = fit_motion(track)
         assert fit.residual_rms == pytest.approx(sigma, rel=0.3)
-        assert abs(fit.dl) < 3 * sigma / 50 ** 0.5
+        assert abs(fit.dl_dt) < 3 * sigma / 50 ** 0.5
 
 
 class TestClassify:
