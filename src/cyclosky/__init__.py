@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .arraysim import (ArrayGeometry, ArraySnapshot, DirectionLM, Scene,
                        SourceSpec, TrajectorySpec, default_geometry,
                        steering_vector, synthesize)
-from .cyclospec import (CorrMatrix, CyclicCorrMatrix, CyclicSpectrum,
+from .cyclospec import (CyclicCorrMatrix, CyclicSpectrum,
                         corr_matrix, cyclic_corr_matrix, cyclic_spectrum,
                         detect_cyclic_freqs, fft_alpha_grid)
 from .imaging import Skymap, SkymapGrid, cyclic_skymap, locate_peaks, skymap

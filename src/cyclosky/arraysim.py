@@ -74,10 +74,6 @@ class ArrayGeometry:
     def n_antennas(self) -> int:
         return self.positions.shape[0]
 
-    @property
-    def wavelength(self) -> float:
-        return C_LIGHT / self.f0
-
 
 @dataclass
 class SourceSpec:

@@ -312,7 +312,7 @@ def _analyze_frame(cfg, frame_snap, frame_time, out, frame_idx):
     """One detection / imaging cycle; returns the frame's detections."""
     detections = []
     r = cyclospec.corr_matrix(frame_snap)
-    _require_finite(r.values, "covariance", frame_idx)
+    _require_finite(r, "covariance", frame_idx)
     classical = imaging.skymap(r, cfg.geometry, cfg.skymap_grid)
     stem = out / "skymaps" / f"frame_{frame_idx:04d}_classical"
     imaging.write_skymap_csv(classical, str(stem) + ".csv")
@@ -460,7 +460,7 @@ def _cmd_schedule(args, cfg):
         tracks = tracking.tracks_from_record(tracking.read_frame_log(args.tracks))
     except KeyError as exc:
         raise ValueError(f"{args.tracks} is not a frame log: it lacks key {exc}") from None
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{args.tracks} is not a frame log: {exc}") from None
     sched = scheduling.schedule(cfg.programs, cfg.site, cfg.horizon, tracks,
                                 cfg.mode, cfg.sched_cfg)

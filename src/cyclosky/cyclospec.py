@@ -17,19 +17,10 @@ FFT_MATCH_RTOL = 1e-10
 
 
 @dataclass
-class CorrMatrix:
-    """Hermitian PSD sample covariance of an array snapshot."""
-
-    values: np.ndarray
-    n_samples: int
-
-
-@dataclass
 class CyclicCorrMatrix:
     values: np.ndarray
     alpha: float
     conjugate: bool
-    n_samples: int
 
 
 @dataclass
@@ -55,10 +46,9 @@ def _cyclic_kernel(z, alpha, sample_rate, conjugate):
     return (zp @ right) / n
 
 
-def corr_matrix(snap: ArraySnapshot) -> CorrMatrix:
-    """Sample covariance (1/N) sum z[k] z[k]^H."""
-    return CorrMatrix(_cyclic_kernel(snap.data, 0.0, snap.sample_rate, False),
-                      snap.n_samples)
+def corr_matrix(snap: ArraySnapshot) -> np.ndarray:
+    """Sample covariance (1/N) sum z[k] z[k]^H, a Hermitian PSD M x M array."""
+    return _cyclic_kernel(snap.data, 0.0, snap.sample_rate, False)
 
 
 def cyclic_corr_matrix(snap: ArraySnapshot, alpha, conjugate=False) -> CyclicCorrMatrix:
@@ -72,9 +62,9 @@ def cyclic_corr_matrix(snap: ArraySnapshot, alpha, conjugate=False) -> CyclicCor
         raise ValueError("alpha must satisfy |alpha| < sample_rate")
     if not conjugate and alpha < 0:
         pos = _cyclic_kernel(snap.data, -alpha, snap.sample_rate, False)
-        return CyclicCorrMatrix(pos.conj().T, alpha, False, snap.n_samples)
+        return CyclicCorrMatrix(pos.conj().T, alpha, False)
     vals = _cyclic_kernel(snap.data, alpha, snap.sample_rate, conjugate)
-    return CyclicCorrMatrix(vals, alpha, conjugate, snap.n_samples)
+    return CyclicCorrMatrix(vals, alpha, conjugate)
 
 
 def fft_alpha_grid(snap: ArraySnapshot, conjugate=False) -> np.ndarray:
@@ -145,6 +135,24 @@ def cyclic_spectrum(snap: ArraySnapshot, alphas, conjugate=False,
     return CyclicSpectrum(alphas, mags, conjugate)
 
 
+def _local_maxima(values, valid):
+    """Indices of the strict local maxima of an n-D array above median + 5 * MAD
+    of its valid entries; invalid entries and the edges are -inf neighbours."""
+    vals = values[valid]
+    med = np.median(vals)
+    # MAD scaled to the standard deviation of a Gaussian.
+    mad = 1.4826 * np.median(np.abs(vals - med))
+    threshold = med + 5.0 * mad
+    padded = np.pad(np.where(valid, values, -np.inf), 1, constant_values=-np.inf)
+    center = padded[(slice(1, -1),) * values.ndim]
+    neighbours = np.full(values.shape, -np.inf)
+    for shift in np.ndindex((3,) * values.ndim):
+        if shift != (1,) * values.ndim:
+            neighbours = np.maximum(neighbours, padded[tuple(
+                slice(s, s + n) for s, n in zip(shift, values.shape))])
+    return np.nonzero((center > neighbours) & (center > threshold))
+
+
 def detect_cyclic_freqs(spec: CyclicSpectrum):
     """Local spectrum maxima above median + 5 * MAD, strongest first.
 
@@ -155,20 +163,9 @@ def detect_cyclic_freqs(spec: CyclicSpectrum):
     alphas = spec.alphas
     if mags.size < 16:
         raise ValueError("spectrum needs at least 16 grid points")
-    med = np.median(mags)
-    # MAD scaled by 1.4826 for Gaussian sigma equivalence.
-    mad = 1.4826 * np.median(np.abs(mags - med))
-    threshold = med + 5.0 * mad
-    step = alphas[1] - alphas[0] if alphas.size > 1 else 1.0
-    hits = []
-    for i in range(mags.size):
-        left = mags[i - 1] if i > 0 else -np.inf
-        right = mags[i + 1] if i < mags.size - 1 else -np.inf
-        if mags[i] <= threshold or mags[i] <= left or mags[i] <= right:
-            continue
-        if not spec.conjugate and abs(alphas[i]) < 0.5 * step:
-            continue
-        hits.append((float(alphas[i]), float(mags[i])))
+    (peaks,) = _local_maxima(mags, np.ones(mags.shape, dtype=bool))
+    hits = [(float(alphas[i]), float(mags[i])) for i in peaks
+            if spec.conjugate or abs(alphas[i]) >= 0.5 * (alphas[1] - alphas[0])]
     hits.sort(key=lambda p: -p[1])
     return hits
 

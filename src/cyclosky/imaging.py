@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arraysim import C_LIGHT, ArrayGeometry, DirectionLM
+from .cyclospec import _local_maxima
 
 KIND_CLASSICAL = "classical"
 KIND_CYCLIC = "cyclic"
@@ -141,11 +142,10 @@ def _quadratic_form(values, geom: ArrayGeometry, grid: SkymapGrid, kind):
 
 
 def skymap(r_matrix, geom: ArrayGeometry, grid: SkymapGrid) -> Skymap:
-    """Classical beamformed power map from a covariance matrix."""
-    values = r_matrix.values
-    if values.shape[0] != geom.n_antennas:
+    """Classical beamformed power map from an M x M covariance array."""
+    if r_matrix.shape[0] != geom.n_antennas:
         raise ValueError("covariance and geometry dimensions disagree")
-    form, visible = _quadratic_form(values, geom, grid, KIND_CLASSICAL)
+    form, visible = _quadratic_form(r_matrix, geom, grid, KIND_CLASSICAL)
     q = np.clip(form / geom.n_antennas ** 2, 0.0, None)
     q[~visible] = 0.0
     return Skymap(grid, q, KIND_CLASSICAL)
@@ -179,35 +179,18 @@ def locate_peaks(smap: Skymap, max_peaks: int):
         raise ValueError("max_peaks must be >= 1")
     power = smap.power
     mask = smap.grid.mask()
-    vals = power[mask]
-    if vals.size == 0 or vals.max() == vals.min():
+    if not mask.any():  # no visible pixel, and np.median([]) warns
         return []
-    med = np.median(vals)
-    # MAD scaled by 1.4826 for Gaussian sigma equivalence.
-    mad = 1.4826 * np.median(np.abs(vals - med))
-    threshold = med + 5.0 * mad
     n_l, n_m = power.shape
-    padded = np.full((n_l + 2, n_m + 2), -np.inf)
-    padded[1:-1, 1:-1] = np.where(mask, power, -np.inf)
-    center = padded[1:-1, 1:-1]
-    neighborhood = np.full(power.shape, -np.inf)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            shifted = padded[1 + di:n_l + 1 + di, 1 + dj:n_m + 1 + dj]
-            neighborhood = np.maximum(neighborhood, shifted)
-    is_peak = mask & (center > neighborhood) & (center > threshold)
     l_axis = smap.grid.l_axis()
     m_axis = smap.grid.m_axis()
     dl = l_axis[1] - l_axis[0]
     dm = m_axis[1] - m_axis[0]
     peaks = []
-    for i, j in zip(*np.nonzero(is_peak)):
+    for i, j in zip(*_local_maxima(power, mask)):
         value = power[i, j]
         off_i = off_j = 0.0
-        if 0 < i < n_l - 1 and 0 < j < n_m - 1 and np.isfinite(
-                padded[i:i + 3, j:j + 3]).all():
+        if 0 < i < n_l - 1 and 0 < j < n_m - 1 and mask[i - 1:i + 2, j - 1:j + 2].all():
             off_i, dv_i = _refine_axis(power[i - 1, j], value, power[i + 1, j])
             off_j, dv_j = _refine_axis(power[i, j - 1], value, power[i, j + 1])
             value = value + dv_i + dv_j

@@ -155,8 +155,7 @@ def _slot_predictions(tracks, site, horizon):
     preds = []
     for slot in range(horizon):
         t = slot * site.slot_length
-        preds.append([(predict(tr, t), tr.alpha) for tr in tracks
-                      if tr.track_class != UNCLASSIFIED])
+        preds.append([(predict(tr, t), tr.alpha) for tr in tracks])
     return preds
 
 

@@ -62,7 +62,6 @@ class Prediction:
     direction: DirectionLM
     radius: float
     below_horizon: bool = False
-    crossing_time: float = None
 
 
 @dataclass
@@ -128,20 +127,12 @@ def predict(track: RfiTrack, t: float) -> Prediction:
     norm = np.hypot(l, m)
     if norm <= 1.0:
         return Prediction(DirectionLM(l, m), radius)
-    # Extrapolation leaves the hemisphere: report it set, with the time the
-    # fitted path crossed the unit circle.
-    a = model.dl_dt ** 2 + model.dm_dt ** 2
-    b = 2.0 * (model.l0 * model.dl_dt + model.m0 * model.dm_dt)
-    c = model.l0 ** 2 + model.m0 ** 2 - 1.0
-    roots = np.roots([a, b, c]) if a > 0 else np.array([])
-    real = sorted(r.real for r in roots if abs(r.imag) < 1e-12 and r.real <= t)
-    crossing = real[-1] if real else t
-    return Prediction(DirectionLM(l / norm, m / norm), radius,
-                      below_horizon=True, crossing_time=float(crossing))
+    # Extrapolation leaves the hemisphere: report it set, at the limb.
+    return Prediction(DirectionLM(l / norm, m / norm), radius, below_horizon=True)
 
 
 def _gate_and_prediction(track: RfiTrack, frame_time: float, cfg: TrackerConfig):
-    if track.track_class != UNCLASSIFIED and track.model is not None:
+    if track.track_class != UNCLASSIFIED:
         pred = predict(track, frame_time)
         gate = max(cfg.gate_sigma * pred.radius, cfg.gate_min)
         return pred.direction, gate
@@ -241,9 +232,15 @@ def read_frame_log(path) -> dict:
 
 
 def tracks_from_record(record: dict):
-    """Rebuild prediction-capable tracks from a frame log document."""
+    """Rebuild prediction-capable tracks from a frame log document; a track
+    of unknown class, or classified without model or stats, is a ValueError."""
     tracks = []
     for rec in record["tracks"]:
+        if rec["class"] not in (STATIONARY, SLOW, FAST, UNCLASSIFIED):
+            raise ValueError(f"track {rec['id']} has unknown class {rec['class']!r}")
+        for key in ("model", "stats"):
+            if rec["class"] != UNCLASSIFIED and rec[key] is None:
+                raise ValueError(f"track {rec['id']} is {rec['class']} but has no {key}")
         model = None if rec["model"] is None else MotionFit(**rec["model"])
         stats = None if rec["stats"] is None else TrackStats(**rec["stats"])
         tracks.append(RfiTrack(rec["id"], rec["alpha_hz"], rec["conjugate"],

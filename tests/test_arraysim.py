@@ -32,7 +32,7 @@ class TestGeometry:
     def test_default_layout_within_aperture(self):
         geom = default_geometry(48, 1.42e9, seed=3, aperture_wavelengths=6.0)
         radii = np.hypot(geom.positions[:, 0], geom.positions[:, 1])
-        assert radii.max() <= 3.0 * geom.wavelength + 1e-9
+        assert radii.max() <= 3.0 * C_LIGHT / geom.f0 + 1e-9
 
 
 class TestSteeringVector:

@@ -5,6 +5,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -61,6 +62,13 @@ class TestFrameLog:
         first, back, second = write_read_write(write_frame_log, read_frame_log, record)
         assert back == record
         assert second == first
+        # A classified track needs its model and stats to be predicted from.
+        bad = [rec for rec in record["tracks"] if rec["class"] != UNCLASSIFIED
+               and None in (rec["model"], rec["stats"])]
+        if bad:
+            with pytest.raises(ValueError, match=f"track {bad[0]['id']} is "):
+                tracks_from_record(back)
+            return
         # A rebuilt track keeps everything but its history, which is one point.
         rebuilt = frame_record(tracks_from_record(back), time)
         assert rebuilt == {"time": time, "tracks": [dict(rec, n_points=1)

@@ -516,6 +516,11 @@ class TestScheduleCommand:
          "lacks key 'model'"),
         ("no_rate.json", lambda log: log["tracks"][0]["model"].pop("dl_dt"),
          "'dl_dt'"),
+        ("bogus_class.json", lambda log: log["tracks"][0].update({"class": "bogus"}),
+         "has unknown class 'bogus'"),
+        ("null_model.json",
+         lambda log: log["tracks"][0].update({"class": "slow", "model": None}),
+         "but has no model"),
     ])
     def test_not_a_frame_log_is_runtime_error(self, scenario, tmp_path, capsys,
                                               name, edit, named):

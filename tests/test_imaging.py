@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from cyclosky import imaging
 from cyclosky.arraysim import (C_LIGHT, ArrayGeometry, ArraySnapshot,
                                DirectionLM, default_geometry, steering_vector)
-from cyclosky.cyclospec import CorrMatrix, CyclicCorrMatrix, cyclic_corr_matrix
+from cyclosky.cyclospec import CyclicCorrMatrix, cyclic_corr_matrix
 from cyclosky.imaging import (Skymap, SkymapGrid, cyclic_skymap, locate_peaks,
                               read_skymap_csv, read_skymap_pgm, skymap,
                               write_skymap_csv, write_skymap_pgm)
@@ -24,7 +24,7 @@ def grid():
 
 def point_source_cov(geom, direction, power=1.0):
     a = steering_vector(geom, direction)
-    return CorrMatrix(power * np.outer(a, a.conj()), 1)
+    return power * np.outer(a, a.conj())
 
 
 def on_grid_direction(grid, i, j):
@@ -34,7 +34,7 @@ def on_grid_direction(grid, i, j):
 class TestSkymap:
     def test_identity_covariance_is_flat(self, geom, grid):
         m = geom.n_antennas
-        smap = skymap(CorrMatrix(np.eye(m, dtype=complex), 1), geom, grid)
+        smap = skymap(np.eye(m, dtype=complex), geom, grid)
         mask = grid.mask()
         assert np.allclose(smap.power[mask], 1.0 / m)
         assert np.all(smap.power[~mask] == 0.0)
@@ -49,14 +49,14 @@ class TestSkymap:
         d = on_grid_direction(grid, 30, 30)
         r = point_source_cov(geom, d)
         base = skymap(r, geom, grid)
-        scaled = skymap(CorrMatrix(3.5 * r.values, 1), geom, grid)
+        scaled = skymap(3.5 * r, geom, grid)
         assert np.allclose(scaled.power, 3.5 * base.power)
         assert (np.unravel_index(np.argmax(scaled.power), scaled.power.shape)
                 == np.unravel_index(np.argmax(base.power), base.power.shape))
 
     def test_dimension_mismatch(self, geom, grid):
         with pytest.raises(ValueError):
-            skymap(CorrMatrix(np.eye(3, dtype=complex), 1), geom, grid)
+            skymap(np.eye(3, dtype=complex), geom, grid)
 
 
 class TestCyclicSkymap:
@@ -64,7 +64,7 @@ class TestCyclicSkymap:
         d = on_grid_direction(grid, 10, 40)
         a = steering_vector(geom, d)
         rho = 0.7
-        ra = CyclicCorrMatrix(rho * np.outer(a, a), 1.25e5, True, 1)
+        ra = CyclicCorrMatrix(rho * np.outer(a, a), 1.25e5, True)
         smap = cyclic_skymap(ra, geom, grid)
         assert smap.power[10, 40] == pytest.approx(rho, abs=1e-9)
         assert smap.alpha == 1.25e5
@@ -73,7 +73,7 @@ class TestCyclicSkymap:
     def test_non_conjugate_variant(self, geom, grid):
         d = on_grid_direction(grid, 25, 25)
         a = steering_vector(geom, d)
-        ra = CyclicCorrMatrix(0.5 * np.outer(a, a.conj()), 2.0e5, False, 1)
+        ra = CyclicCorrMatrix(0.5 * np.outer(a, a.conj()), 2.0e5, False)
         smap = cyclic_skymap(ra, geom, grid)
         assert smap.power[25, 25] == pytest.approx(0.5, abs=1e-9)
 
@@ -96,9 +96,10 @@ def direct_form(matrix, geom, grid):
     y = geom.positions[:, 1][:, None]
     a = np.exp(-2j * np.pi * (geom.f0 / C_LIGHT)
                * (x * ll.ravel()[None, :] + y * mm.ravel()[None, :]))
-    classical = isinstance(matrix, CorrMatrix)
+    classical = isinstance(matrix, np.ndarray)
     right = a if classical or not matrix.conjugate else a.conj()
-    form = np.einsum("mp,mp->p", a.conj(), matrix.values @ right)
+    values = matrix if classical else matrix.values
+    form = np.einsum("mp,mp->p", a.conj(), values @ right)
     form = form.reshape(grid.n_l, grid.n_m)
     return form.real if classical else form
 
@@ -106,13 +107,13 @@ def direct_form(matrix, geom, grid):
 def fresh_map(matrix, geom, grid):
     """Reference map from the direct form."""
     q = direct_form(matrix, geom, grid) / geom.n_antennas ** 2
-    q = np.clip(q, 0.0, None) if isinstance(matrix, CorrMatrix) else np.abs(q)
+    q = np.clip(q, 0.0, None) if isinstance(matrix, np.ndarray) else np.abs(q)
     q[~grid.mask()] = 0.0
     return q
 
 
 def any_map(matrix, geom, grid):
-    if isinstance(matrix, CorrMatrix):
+    if isinstance(matrix, np.ndarray):
         return skymap(matrix, geom, grid).power
     return cyclic_skymap(matrix, geom, grid).power
 
@@ -133,9 +134,9 @@ def random_matrices(m, seed=5):
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((m, 3 * m)) + 1j * rng.standard_normal((m, 3 * m))
     w = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    return [CorrMatrix(z @ z.conj().T / (3 * m), 3 * m),
-            CyclicCorrMatrix(w, 1.25e5, False, 3 * m),
-            CyclicCorrMatrix(w + w.T, 1.25e5, True, 3 * m)]
+    return [z @ z.conj().T / (3 * m),
+            CyclicCorrMatrix(w, 1.25e5, False),
+            CyclicCorrMatrix(w + w.T, 1.25e5, True)]
 
 
 class TestOperatorCache:
@@ -224,8 +225,8 @@ class TestPairTables:
         m = geom.n_antennas
         rng = np.random.default_rng(seed)
         w, u = rng.standard_normal((2, m, m)) + 1j * rng.standard_normal((2, m, m))
-        for matrix in (CorrMatrix(w, m), CyclicCorrMatrix(w, 1.25e5, False, m),
-                       CyclicCorrMatrix(w + w.T + asymmetry * u, 1.25e5, True, m)):
+        for matrix in (w, CyclicCorrMatrix(w, 1.25e5, False),
+                       CyclicCorrMatrix(w + w.T + asymmetry * u, 1.25e5, True)):
             # The scale is the map before clipping and masking: a classical
             # map of a non-Hermitian R can clip to far below its terms.
             scale = np.abs(direct_form(matrix, geom, grid)).max() / m ** 2
@@ -257,8 +258,7 @@ class TestLocatePeaks:
         geom = default_geometry(48, 1.42e9, seed=5, aperture_wavelengths=6.0)
         d1 = DirectionLM(-0.175, 0.0)
         d2 = DirectionLM(0.175, 0.0)
-        r = CorrMatrix(point_source_cov(geom, d1).values
-                       + point_source_cov(geom, d2).values, 1)
+        r = point_source_cov(geom, d1) + point_source_cov(geom, d2)
         smap = skymap(r, geom, grid)
         peaks = locate_peaks(smap, max_peaks=2)
         assert len(peaks) == 2

@@ -1,0 +1,125 @@
+"""The shared peak rule against the two finders it replaced.
+
+`reference_detect` and `reference_locate` are the former bodies of
+`detect_cyclic_freqs` (a loop over bins) and `locate_peaks` (an 8-shift loop
+over a padded map). Both finders must return exactly what they returned.
+Integer-valued inputs make plateaus and ties common, so a strict comparison
+turned non-strict shows.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from cyclosky.arraysim import DirectionLM
+from cyclosky.cyclospec import CyclicSpectrum, detect_cyclic_freqs
+from cyclosky.imaging import Skymap, SkymapGrid, _refine_axis, locate_peaks
+
+
+def reference_detect(spec):
+    mags = spec.magnitudes
+    alphas = spec.alphas
+    if mags.size < 16:
+        raise ValueError("spectrum needs at least 16 grid points")
+    med = np.median(mags)
+    mad = 1.4826 * np.median(np.abs(mags - med))
+    threshold = med + 5.0 * mad
+    step = alphas[1] - alphas[0] if alphas.size > 1 else 1.0
+    hits = []
+    for i in range(mags.size):
+        left = mags[i - 1] if i > 0 else -np.inf
+        right = mags[i + 1] if i < mags.size - 1 else -np.inf
+        if mags[i] <= threshold or mags[i] <= left or mags[i] <= right:
+            continue
+        if not spec.conjugate and abs(alphas[i]) < 0.5 * step:
+            continue
+        hits.append((float(alphas[i]), float(mags[i])))
+    hits.sort(key=lambda p: -p[1])
+    return hits
+
+
+def reference_locate(smap, max_peaks):
+    if max_peaks < 1:
+        raise ValueError("max_peaks must be >= 1")
+    power = smap.power
+    mask = smap.grid.mask()
+    vals = power[mask]
+    if vals.size == 0 or vals.max() == vals.min():
+        return []
+    med = np.median(vals)
+    mad = 1.4826 * np.median(np.abs(vals - med))
+    threshold = med + 5.0 * mad
+    n_l, n_m = power.shape
+    padded = np.full((n_l + 2, n_m + 2), -np.inf)
+    padded[1:-1, 1:-1] = np.where(mask, power, -np.inf)
+    center = padded[1:-1, 1:-1]
+    neighborhood = np.full(power.shape, -np.inf)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di == 0 and dj == 0:
+                continue
+            shifted = padded[1 + di:n_l + 1 + di, 1 + dj:n_m + 1 + dj]
+            neighborhood = np.maximum(neighborhood, shifted)
+    is_peak = mask & (center > neighborhood) & (center > threshold)
+    l_axis = smap.grid.l_axis()
+    m_axis = smap.grid.m_axis()
+    dl = l_axis[1] - l_axis[0]
+    dm = m_axis[1] - m_axis[0]
+    peaks = []
+    for i, j in zip(*np.nonzero(is_peak)):
+        value = power[i, j]
+        off_i = off_j = 0.0
+        if 0 < i < n_l - 1 and 0 < j < n_m - 1 and np.isfinite(
+                padded[i:i + 3, j:j + 3]).all():
+            off_i, dv_i = _refine_axis(power[i - 1, j], value, power[i + 1, j])
+            off_j, dv_j = _refine_axis(power[i, j - 1], value, power[i, j + 1])
+            value = value + dv_i + dv_j
+        l = l_axis[i] + off_i * dl
+        m = m_axis[j] + off_j * dm
+        norm = np.hypot(l, m)
+        if norm > 1.0:
+            l, m = l / norm, m / norm
+        peaks.append((DirectionLM(l, m), float(value)))
+    peaks.sort(key=lambda p: -p[1])
+    return peaks[:max_peaks]
+
+
+# Low integers with sparse high ones: plateaus, ties with the threshold and
+# ties between neighbouring peaks all occur.
+LEVEL = st.integers(0, 3) | st.sampled_from([20, 25])
+
+
+def values(shape):
+    constant = st.floats(0.0, 30.0).map(lambda v: np.full(shape, v))
+    return arrays(float, shape, elements=LEVEL) | constant
+
+
+@st.composite
+def spectra(draw):
+    n = draw(st.integers(16, 300))
+    step = draw(st.sampled_from([1.0, 0.5, 1e6 / 256]))
+    alphas = (np.arange(n) - draw(st.integers(0, n))) * step
+    return CyclicSpectrum(alphas, draw(values((n,))), draw(st.booleans()))
+
+
+@st.composite
+def skymaps(draw):
+    bounds = st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2,
+                      unique=True).map(sorted)
+    (l_min, l_max), (m_min, m_max) = draw(bounds), draw(bounds)
+    grid = SkymapGrid(l_min, l_max, m_min, m_max,
+                      draw(st.integers(2, 20)), draw(st.integers(2, 20)))
+    return Skymap(grid, draw(values((grid.n_l, grid.n_m))), "classical")
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=spectra())
+def test_spectrum_peaks_match_reference(spec):
+    assert detect_cyclic_freqs(spec) == reference_detect(spec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(smap=skymaps(), max_peaks=st.integers(1, 6))
+def test_map_peaks_match_reference(smap, max_peaks):
+    assert locate_peaks(smap, max_peaks) == reference_locate(smap, max_peaks)

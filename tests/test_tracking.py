@@ -115,8 +115,6 @@ class TestPredict:
         pred = predict(tr.tracks[0], 20.0)
         assert pred.below_horizon
         assert pred.direction.l == pytest.approx(1.0, abs=1e-9)
-        # l(t) = 0.9 + 0.02 t hits 1 at t = 5.
-        assert pred.crossing_time == pytest.approx(5.0, abs=1e-6)
 
 
 class TestAssociate:
