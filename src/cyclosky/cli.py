@@ -346,25 +346,30 @@ def _analyze_frame(cfg, frame_snap, frame_time, out, frame_idx):
     return detections
 
 
-def _write_flag_mask(cfg, tracks, sched, out):
-    """Write flagmask.csv, or remove an earlier one when channels are unset."""
+def _plan(cfg, tracks, out):
+    """Schedule; write schedule.json and flagmask.csv (removed if no channels)."""
+    sched = scheduling.schedule(cfg.programs, cfg.site, cfg.horizon, tracks,
+                                cfg.mode, cfg.sched_cfg)
+    scheduling.write_schedule_json(sched, out / "schedule.json")
     path = out / "flagmask.csv"
     if cfg.channels is None:
         path.unlink(missing_ok=True)
-        return
-    mask = scheduling.flag_mask(tracks, sched, cfg.site, cfg.programs,
-                                cfg.sched_cfg, cfg.channels)
-    scheduling.write_flag_mask_csv(mask, path)
+    else:
+        scheduling.write_flag_mask_csv(scheduling.flag_mask(
+            tracks, sched, cfg.site, cfg.sched_cfg, cfg.channels), path)
 
 
-def run_pipeline(cfg: ScenarioConfig, out_dir) -> dict:
+def run_pipeline(cfg: ScenarioConfig, out_dir):
     out = Path(out_dir)
+    # A rerun, with fewer frames or failing partway, must leave nothing of an
+    # earlier run that looks like its own output.
     for sub in ("spectra", "skymaps", "tracks"):
         (out / sub).mkdir(parents=True, exist_ok=True)
-        # A rerun with fewer frames must not leave an earlier run's frames.
         for stale in (out / sub).glob("frame_*"):
             if stale.is_file():
                 stale.unlink()
+    for name in ("manifest.json", "schedule.json", "flagmask.csv"):
+        (out / name).unlink(missing_ok=True)
     scene = cfg.scene()
     snap = arraysim.synthesize(scene)
     np.save(out / "snapshot.npy", snap.data)
@@ -387,14 +392,7 @@ def run_pipeline(cfg: ScenarioConfig, out_dir) -> dict:
         tracking.write_frame_log(tracker.frame_record(frame_time),
                                  out / "tracks" / f"frame_{idx:04d}.json")
 
-    tracks = tracker.tracks
-    sched = scheduling.schedule(cfg.programs, cfg.site, cfg.horizon, tracks,
-                                cfg.mode, cfg.sched_cfg)
-    scheduling.write_schedule_json(sched, cfg.site, cfg.programs,
-                                   out / "schedule.json")
-    _write_flag_mask(cfg, tracks, sched, out)
-    return {"n_frames": cfg.n_frames, "n_tracks": len(tracks),
-            "scheduled": sorted(sched.starts)}
+    _plan(cfg, tracker.tracks, out)
 
 
 def _write_manifest(cfg_path, cfg, out_dir):
@@ -462,13 +460,9 @@ def _cmd_schedule(args, cfg):
         raise ValueError(f"{args.tracks} is not a frame log: it lacks key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{args.tracks} is not a frame log: {exc}") from None
-    sched = scheduling.schedule(cfg.programs, cfg.site, cfg.horizon, tracks,
-                                cfg.mode, cfg.sched_cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    scheduling.write_schedule_json(sched, cfg.site, cfg.programs,
-                                   out / "schedule.json")
-    _write_flag_mask(cfg, tracks, sched, out)
+    _plan(cfg, tracks, out)
 
 
 def build_parser():

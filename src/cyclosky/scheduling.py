@@ -91,6 +91,7 @@ class SchedulerConfig:
 @dataclass
 class Schedule:
     assignments: list          # slot -> program id or None
+    pointings: list            # slot -> DirectionLM of its program or None
     risk: list                 # per-slot corruption risk
     total_risk: float
     objective: float
@@ -132,7 +133,8 @@ def corruption_risk(pointing: DirectionLM, freq_span, predictions,
 
     `predictions` is a list of (Prediction, alpha_hz). Per track: hard risk 1
     inside the exclusion core, Gaussian roll-off outside, zero without band
-    overlap or when the track is below the horizon.
+    overlap or when the track is below the horizon. `freq_span` may hold
+    arrays of band edges; the risk is then one per band.
     """
     clear = 1.0
     excl = cfg.exclusion_radius
@@ -140,14 +142,15 @@ def corruption_risk(pointing: DirectionLM, freq_span, predictions,
         if pred.below_horizon:
             continue
         band = cfg.band_for(alpha)
-        if not (band[0] < freq_span[1] and band[1] > freq_span[0]):
+        overlap = (band[0] < freq_span[1]) & (band[1] > freq_span[0])
+        if not np.any(overlap):
             continue
         effective = pointing.distance(pred.direction) - pred.radius
         if effective < excl:
             per = 1.0
         else:
             per = exp(-effective ** 2 / (2.0 * excl ** 2))
-        clear *= 1.0 - per
+        clear *= 1.0 - per * overlap
     return 1.0 - clear
 
 
@@ -160,22 +163,23 @@ def _slot_predictions(tracks, site, horizon):
 
 
 def _program_windows(program, site, horizon, preds_by_slot, cfg):
-    """Feasible (start, cost, slot_risks) windows for one program."""
+    """Per-slot positions of one program, and its feasible windows as
+    start -> (cost, slot_risks)."""
     positions = [target_position((program.ra, program.dec), site, s)
                  for s in range(horizon)]
     risks = [None] * horizon
     for s, pos in enumerate(positions):
         if pos is not None:
             risks[s] = corruption_risk(pos, program.freq_span, preds_by_slot[s], cfg)
-    windows = []
+    windows = {}
     for start in range(horizon - program.duration + 1):
         span = risks[start:start + program.duration]
         if any(r is None for r in span):
             continue
         if max(span) > cfg.risk_cap:
             continue
-        windows.append((start, sum(span), span))
-    return windows
+        windows[start] = (sum(span), span)
+    return positions, windows
 
 
 def _window_mask(start, duration):
@@ -197,29 +201,27 @@ def schedule(programs, site: SiteModel, horizon, tracks=(), mode="greedy",
     if programs and horizon < min(p.duration for p in programs):
         diagnostics.append("horizon is shorter than every program duration; "
                            "nothing scheduled")
-        return Schedule([None] * horizon, [0.0] * horizon, 0.0, 0.0, {},
-                        [p.id for p in programs], diagnostics)
+        return Schedule([None] * horizon, [None] * horizon, [0.0] * horizon,
+                        0.0, 0.0, {}, [p.id for p in programs], diagnostics)
     classified = [tr for tr in tracks if tr.track_class != UNCLASSIFIED]
     preds_by_slot = _slot_predictions(classified, site, horizon)
     progs = sorted(programs, key=lambda p: p.id)
-    windows = {p.id: _program_windows(p, site, horizon, preds_by_slot, cfg)
-               for p in progs}
+    positions, windows = {}, {}
+    for p in progs:
+        positions[p.id], windows[p.id] = _program_windows(p, site, horizon,
+                                                          preds_by_slot, cfg)
 
     if mode == "greedy":
         occupied = 0
         starts = {}
         order = sorted(progs, key=lambda p: (-p.priority, p.id))
         for p in order:
-            best = None
-            for start, cost, _ in windows[p.id]:
-                if _window_mask(start, p.duration) & occupied:
-                    continue
-                key = (cost, start)
-                if best is None or key < best[0]:
-                    best = (key, start)
-            if best is not None:
-                starts[p.id] = best[1]
-                occupied |= _window_mask(best[1], p.duration)
+            free = [(cost, start) for start, (cost, _) in windows[p.id].items()
+                    if not _window_mask(start, p.duration) & occupied]
+            if free:
+                start = min(free)[1]
+                starts[p.id] = start
+                occupied |= _window_mask(start, p.duration)
     else:
         best_state = None
 
@@ -236,7 +238,7 @@ def schedule(programs, site: SiteModel, horizon, tracks=(), mode="greedy",
                 return
             p = progs[i]
             rec(i + 1, occupied, cost, value, chosen + [None])
-            for start, wcost, _ in windows[p.id]:
+            for start, (wcost, _) in windows[p.id].items():
                 bits = _window_mask(start, p.duration)
                 if bits & occupied:
                     continue
@@ -247,61 +249,49 @@ def schedule(programs, site: SiteModel, horizon, tracks=(), mode="greedy",
         starts = best_state[1]
 
     assignments = [None] * horizon
+    pointings = [None] * horizon
     slot_risk = [0.0] * horizon
     total = 0.0
     value = 0.0
     by_id = {p.id: p for p in progs}
     for pid, start in starts.items():
         p = by_id[pid]
-        wins = {w[0]: w for w in windows[pid]}
-        _, cost, span = wins[start]
+        cost, span = windows[pid][start]
         value += p.priority
         total += cost
         for k in range(p.duration):
             assignments[start + k] = pid
+            pointings[start + k] = positions[pid][start + k]
             slot_risk[start + k] = span[k]
     unscheduled = [p.id for p in progs if p.id not in starts]
-    return Schedule(assignments, slot_risk, total, total - cfg.lam * value,
-                    starts, unscheduled, diagnostics)
+    return Schedule(assignments, pointings, slot_risk, total,
+                    total - cfg.lam * value, starts, unscheduled, diagnostics)
 
 
-def flag_mask(tracks, sched: Schedule, site: SiteModel, programs,
-              cfg: SchedulerConfig, channels: ChannelGrid) -> FlagMask:
+def flag_mask(tracks, sched: Schedule, site: SiteModel, cfg: SchedulerConfig,
+              channels: ChannelGrid) -> FlagMask:
     """Time-frequency flags for fast movers crossing scheduled pointings."""
-    by_id = {p.id: p for p in programs}
-    n_slots = len(sched.assignments)
-    flags = np.zeros((n_slots, channels.n_channels), dtype=bool)
+    flags = np.zeros((len(sched.pointings), channels.n_channels), dtype=bool)
+    spans = channels.span(np.arange(channels.n_channels))
     fast = [tr for tr in tracks if tr.track_class == FAST]
-    for slot, pid in enumerate(sched.assignments):
-        if pid is None:
-            continue
-        program = by_id[pid]
-        pointing = target_position((program.ra, program.dec), site, slot)
+    for slot, pointing in enumerate(sched.pointings):
         if pointing is None:
             continue
         t = slot * site.slot_length
         for tr in fast:
             # Risk 1 means inside the exclusion core: the roll-off outside
             # it is at most exp(-1/2).
-            this_track = [(predict(tr, t), tr.alpha)]
-            for ch in range(channels.n_channels):
-                if corruption_risk(pointing, channels.span(ch), this_track, cfg) == 1.0:
-                    flags[slot, ch] = True
+            risk = corruption_risk(pointing, spans, [(predict(tr, t), tr.alpha)], cfg)
+            flags[slot] |= risk == 1.0
     return FlagMask(flags, channels.channel_width, channels.f_start,
                     site.slot_length)
 
 
-def write_schedule_json(sched: Schedule, site: SiteModel, programs, path):
-    by_id = {p.id: p for p in programs}
-    slots = []
-    for slot, pid in enumerate(sched.assignments):
-        pointing = None
-        if pid is not None:
-            p = by_id[pid]
-            pos = target_position((p.ra, p.dec), site, slot)
-            pointing = [pos.l, pos.m] if pos is not None else None
-        slots.append({"slot": slot, "program": pid, "pointing": pointing,
-                      "risk": sched.risk[slot]})
+def write_schedule_json(sched: Schedule, path):
+    slots = [{"slot": slot, "program": pid, "risk": risk,
+              "pointing": None if pos is None else [pos.l, pos.m]}
+             for slot, (pid, pos, risk) in enumerate(
+                 zip(sched.assignments, sched.pointings, sched.risk))]
     doc = {"slots": slots, "total_risk": sched.total_risk,
            "objective": sched.objective,
            "starts": {str(k): v for k, v in sorted(sched.starts.items())},
@@ -316,9 +306,11 @@ def read_schedule_json(path) -> Schedule:
     with open(path) as fh:
         doc = json.load(fh)
     assignments = [s["program"] for s in doc["slots"]]
+    pointings = [None if s["pointing"] is None else DirectionLM(*s["pointing"])
+                 for s in doc["slots"]]
     risk = [s["risk"] for s in doc["slots"]]
-    return Schedule(assignments, risk, doc["total_risk"], doc["objective"],
-                    {int(k): v for k, v in doc["starts"].items()},
+    return Schedule(assignments, pointings, risk, doc["total_risk"],
+                    doc["objective"], {int(k): v for k, v in doc["starts"].items()},
                     doc["unscheduled"], doc["diagnostics"])
 
 

@@ -146,7 +146,6 @@ class Tracker:
     def __init__(self, cfg: TrackerConfig = None):
         self.cfg = cfg or TrackerConfig()
         self.tracks = []
-        self.retired = []
         self.next_id = 0
 
     def step(self, detections, frame_time=None):
@@ -193,12 +192,11 @@ class Tracker:
                 classify(tr, cfg)
                 self.next_id += 1
                 new_tracks.append(tr)
-        live = []
         for tr in self.tracks:
             if tr.id not in matched:
                 tr.misses += 1
-            (self.retired if tr.misses > cfg.drop_after else live).append(tr)
-        self.tracks = live + new_tracks
+        self.tracks = [tr for tr in self.tracks
+                       if tr.misses <= cfg.drop_after] + new_tracks
         return self.tracks
 
     def frame_record(self, frame_time) -> dict:

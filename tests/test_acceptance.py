@@ -361,7 +361,7 @@ def test_criterion_9_flag_mask_soundness(report):
         cfg = SchedulerConfig(exclusion_radius=float(rng.uniform(0.03, 0.1)),
                               bands={1e5: band})
         track = fast_crossing_track(0, -speed * t_cross, 0.0, speed, 0.0, 1e5)
-        mask = flag_mask([track], sched, site, [program], cfg, channels)
+        mask = flag_mask([track], sched, site, cfg, channels)
         truth = np.zeros_like(mask.flags)
         for slot in range(6):
             t = slot * site.slot_length
@@ -382,9 +382,9 @@ def test_criterion_9_flag_mask_soundness(report):
                                     float(rng.uniform(-0.01, 0.01)),
                                     float(rng.uniform(-0.01, 0.01)), 1e5)
         r1, r2 = sorted(rng.uniform(0.02, 0.4, size=2))
-        narrow = flag_mask([track], sched, site, [program],
+        narrow = flag_mask([track], sched, site,
                            SchedulerConfig(exclusion_radius=float(r1)), channels)
-        wide = flag_mask([track], sched, site, [program],
+        wide = flag_mask([track], sched, site,
                          SchedulerConfig(exclusion_radius=float(r2)), channels)
         if not np.all(wide.flags | ~narrow.flags):
             monotone_ok = False

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cyclosky.arraysim import DirectionLM
-from cyclosky.scheduling import (FlagMask, Program, Schedule, SiteModel,
-                                 read_flag_mask_csv, read_schedule_json,
-                                 write_flag_mask_csv, write_schedule_json)
+from cyclosky.scheduling import (FlagMask, Schedule, read_flag_mask_csv,
+                                 read_schedule_json, write_flag_mask_csv,
+                                 write_schedule_json)
 from cyclosky.tracking import (FAST, SLOW, STATIONARY, UNCLASSIFIED, MotionFit,
                                RfiTrack, Tracker, TrackStats, read_frame_log,
                                tracks_from_record, write_frame_log)
@@ -77,36 +77,28 @@ class TestFrameLog:
 
 @st.composite
 def planned(draw):
-    """(Schedule, SiteModel, programs) as write_schedule_json takes them."""
-    site = SiteModel(draw(st.floats(-np.pi / 2, np.pi / 2)), draw(POSITIVE),
-                     draw(st.floats(-10.0, 10.0)))
+    """A Schedule with any pointings, as write_schedule_json takes it."""
     ids = draw(st.lists(st.integers(0, 99), min_size=1, max_size=4, unique=True))
-    programs = [Program(pid, draw(st.floats(0.0, 2 * np.pi)),
-                        draw(st.floats(-np.pi / 2, np.pi / 2)), (1.419e9, 1.421e9),
-                        1, 1.0) for pid in ids]
     horizon = draw(st.integers(1, 8))
-    assignments = draw(st.lists(st.none() | st.sampled_from(ids),
-                                min_size=horizon, max_size=horizon))
-    sched = Schedule(
-        assignments,
+    slots = st.lists(st.none() | st.sampled_from(ids), min_size=horizon,
+                     max_size=horizon)
+    pointings = st.lists(st.none() | st.builds(DirectionLM, COSINE, COSINE),
+                         min_size=horizon, max_size=horizon)
+    return Schedule(
+        draw(slots), draw(pointings),
         draw(st.lists(FLOAT, min_size=horizon, max_size=horizon)),
         draw(FLOAT), draw(FLOAT),
         draw(st.dictionaries(st.sampled_from(ids), st.integers(0, horizon - 1))),
         draw(st.lists(st.sampled_from(ids), unique=True)),
         draw(st.lists(st.text(max_size=20), max_size=2)))
-    return sched, site, programs
 
 
 class TestScheduleJson:
     @settings(max_examples=60, deadline=None)
-    @given(plan=planned())
-    def test_round_trip(self, plan):
-        sched, site, programs = plan
-
-        def write(s, path):
-            write_schedule_json(s, site, programs, path)
-
-        first, back, second = write_read_write(write, read_schedule_json, sched)
+    @given(sched=planned())
+    def test_round_trip(self, sched):
+        first, back, second = write_read_write(write_schedule_json,
+                                               read_schedule_json, sched)
         assert back == sched
         assert second == first
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cyclosky import arraysim, imaging, scheduling, tracking
+from cyclosky import arraysim, cyclospec, imaging, scheduling, tracking
 from cyclosky.arraysim import ArraySnapshot
 from cyclosky.cli import load_scenario, main, run_pipeline
 from cyclosky.cyclospec import cyclic_corr_matrix, read_spectrum_csv
@@ -373,6 +373,23 @@ class TestRun:
         fresh = tmp_path / "fresh"
         assert main(["run", "--config", str(plain), "--out", str(fresh)]) == 0
         assert tree_files(out) == tree_files(fresh)
+
+    def test_failed_rerun_leaves_no_earlier_plan(self, scenario, tmp_path,
+                                                 monkeypatch):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(scenario), "--out", str(out)]) == 0
+        spectrum = cyclospec.cyclic_spectrum
+
+        def fail_in_frame_1(snap, *args, **kwargs):
+            if snap.t0 > 0:
+                raise RuntimeError("injected failure")
+            return spectrum(snap, *args, **kwargs)
+
+        monkeypatch.setattr(cyclospec, "cyclic_spectrum", fail_in_frame_1)
+        assert main(["run", "--config", str(scenario), "--out", str(out)]) == 3
+        for name in ("manifest.json", "schedule.json", "flagmask.csv",
+                     "tracks/frame_0001.json"):
+            assert not (out / name).exists(), name
 
     def test_rerun_with_fewer_frames_leaves_no_stale_frames(self, tmp_path):
         def frames_doc(n_frames):

@@ -188,7 +188,7 @@ class TestFlagMask:
         program, sched = self.setup_sched()
         cfg = SchedulerConfig(exclusion_radius=0.05,
                               bands={1.25e5: (1.4195e9, 1.42e9)})
-        mask = flag_mask([self.fast_track()], sched, self.site, [program], cfg,
+        mask = flag_mask([self.fast_track()], sched, self.site, cfg,
                          self.channels)
         # The track sits on the pointing only at slot 0; band covers ch 2-3.
         assert mask.flags[0].tolist() == [False, False, True, True,
@@ -199,7 +199,7 @@ class TestFlagMask:
         program, sched = self.setup_sched()
         cfg = SchedulerConfig(exclusion_radius=0.05)
         slow = stationary_track(0, 0.0, 0.0)
-        mask = flag_mask([slow], sched, self.site, [program], cfg, self.channels)
+        mask = flag_mask([slow], sched, self.site, cfg, self.channels)
         assert not mask.flags.any()
 
     def test_idle_slots_not_flagged(self):
@@ -207,7 +207,7 @@ class TestFlagMask:
                           duration=1, priority=1.0)
         sched = schedule([program], self.site, 3)
         cfg = SchedulerConfig(exclusion_radius=0.05)
-        mask = flag_mask([self.fast_track()], sched, self.site, [program], cfg,
+        mask = flag_mask([self.fast_track()], sched, self.site, cfg,
                          self.channels)
         for slot in range(3):
             if sched.assignments[slot] is None:
@@ -216,9 +216,9 @@ class TestFlagMask:
     def test_monotone_in_exclusion_radius(self):
         program, sched = self.setup_sched()
         track = self.fast_track()
-        narrow = flag_mask([track], sched, self.site, [program],
+        narrow = flag_mask([track], sched, self.site,
                            SchedulerConfig(exclusion_radius=0.02), self.channels)
-        wide = flag_mask([track], sched, self.site, [program],
+        wide = flag_mask([track], sched, self.site,
                          SchedulerConfig(exclusion_radius=0.2), self.channels)
         assert np.all(wide.flags | ~narrow.flags)
 
@@ -231,9 +231,10 @@ class TestSerialization:
                  Program(1, 0.4, -0.4, (1.419e9, 1.421e9), 1, 2.0)]
         sched = schedule(progs, self.site, 6)
         path = tmp_path / "schedule.json"
-        write_schedule_json(sched, self.site, progs, path)
+        write_schedule_json(sched, path)
         back = read_schedule_json(path)
         assert back.assignments == sched.assignments
+        assert back.pointings == sched.pointings
         assert back.starts == sched.starts
         assert back.objective == pytest.approx(sched.objective)
         assert back.risk == pytest.approx(sched.risk)
