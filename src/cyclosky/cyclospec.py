@@ -6,6 +6,9 @@ alpha. Stationary inputs average to zero at alpha != 0; a cyclostationary
 source leaves a rank-1 matrix carrying its steering vector.
 """
 
+import os
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +17,17 @@ from .arraysim import ArraySnapshot
 
 # Direct-vs-FFT agreement contract for full-grid scans.
 FFT_MATCH_RTOL = 1e-10
+# Threads per large FFT scan, the caller included. Only this count has been
+# measured (2-core host); each worker thread also keeps about 5 MB of freed
+# blocks of its own, so a larger count needs its own run_s and peak RSS runs.
+SCAN_THREADS = 2
+# FFT scans of fewer pair-samples, M(M+1)/2 * N, run on the calling thread
+# alone. On a 2-core host a second thread made both scans of a 48 x 256 frame
+# (301k pair-samples) slower, 9.5-12.4 ms against 6.9-7.8 ms on one thread,
+# and a 48 x 4096 frame (4.8M) 1.7-1.9x faster (min of 40 each).
+PARALLEL_MIN_PAIR_SAMPLES = 2 ** 19
+# Samples per FFT call of a scan row; bounds the memory each thread holds.
+_BLOCK_SAMPLES = 2 ** 16
 
 
 @dataclass
@@ -89,6 +103,98 @@ def _as_fft_bins(alphas, sample_rate, n):
     return (k.astype(np.int64)) % n
 
 
+def _scan_threads():
+    """Threads for a large FFT scan, the caller included: SCAN_THREADS, or
+    fewer if this process may run on fewer CPUs."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # not available on every platform
+        cores = os.cpu_count() or 1
+    return min(SCAN_THREADS, cores)
+
+
+def _row_powers(z, zc, rows, n):
+    """Yield, for each of `rows`, |F|^2 of the pairs (row, j >= row),
+    F = FFT(z_row zc_j), interleaved as (re^2, im^2) per bin: the diagonal
+    term j = row and the sum over j > row.
+
+    The partners go through the FFT in blocks, each summed by the einsum of
+    the former whole-row loop, whose per-bin sum is a chain of multiply-adds
+    (fused on some builds). A later block's einsum takes the row's sum so far
+    as an extra first row, times a row of ones, which is exact fused or not;
+    so the row's sum holds the same bits as one einsum over the whole row. A
+    row's last block is freed only after the next row's first one is made,
+    so the allocator reuses its pages instead of returning them.
+    """
+    m = z.shape[0]
+    step = max(1, _BLOCK_SAMPLES // n)
+    if m > step:
+        # A later block's einsum operands: rows (acc, f) and (1, f).
+        left = np.empty((step + 1, 2 * n))
+        right = np.empty((step + 1, 2 * n))
+        right[0] = 1.0
+    for row in rows:
+        f = np.fft.fft(z[row] * zc[row:row + step], axis=1).view(np.float64)
+        diag = f[0] * f[0]
+        acc = np.einsum("ij,ij->j", f[1:], f[1:])
+        for start in range(row + step, m, step):
+            f = np.fft.fft(z[row] * zc[start:start + step], axis=1).view(np.float64)
+            k = len(f) + 1
+            left[0] = acc
+            left[1:k] = right[1:k] = f
+            acc = np.einsum("ij,ij->j", left[:k], right[:k])
+        yield diag, acc
+
+
+def _scan_power(z, zc, n):
+    """Diagonal and off-diagonal |F|^2 of an FFT scan, summed over rows.
+
+    Rows go round-robin to the calling thread (rows = 0 mod k) and k - 1
+    workers; each worker hands its rows over in order through its own queue,
+    and the caller adds every row in row order, so the sums do not depend on
+    k. Workers call numpy and `_row_powers` only.
+    """
+    m = z.shape[0]
+    k = 1
+    if m * (m + 1) // 2 * n >= PARALLEL_MIN_PAIR_SAMPLES:
+        k = min(_scan_threads(), m)
+    queues = {first: queue.SimpleQueue() for first in range(1, k)}
+    stop = threading.Event()
+
+    def work(first):
+        try:
+            for power in _row_powers(z, zc, range(first, m, k), n):
+                queues[first].put(power)
+                if stop.is_set():
+                    return
+        except BaseException as exc:
+            queues[first].put(exc)
+
+    threads = []
+    own = _row_powers(z, zc, range(0, m, k), n)
+    diag = np.zeros(2 * n)
+    off = np.zeros(2 * n)
+    try:
+        for first in range(1, k):
+            thread = threading.Thread(target=work, args=(first,))
+            thread.start()
+            threads.append(thread)
+        for row in range(m):
+            if row % k:
+                power = queues[row % k].get()
+                if isinstance(power, BaseException):
+                    raise power
+            else:
+                power = next(own)
+            diag += power[0]
+            off += power[1]
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join()
+    return diag, off
+
+
 def cyclic_spectrum(snap: ArraySnapshot, alphas, conjugate=False,
                     method="fft") -> CyclicSpectrum:
     """Scan the Frobenius norm of the cyclic matrix over an alpha grid.
@@ -112,13 +218,7 @@ def cyclic_spectrum(snap: ArraySnapshot, alphas, conjugate=False,
         if bins is None:
             raise ValueError("fft method needs alphas on the sample_rate/N grid")
         zc = z if conjugate else z.conj()
-        # |F|^2 summed over pairs, kept as interleaved (re^2, im^2) per bin.
-        diag = np.zeros(2 * n)
-        off = np.zeros(2 * n)
-        for row in range(snap.n_antennas):
-            f = np.fft.fft(z[row] * zc[row:], axis=1).view(np.float64)
-            diag += f[0] * f[0]
-            off += np.einsum("ij,ij->j", f[1:], f[1:])
+        diag, off = _scan_power(z, zc, n)
         diag = diag[0::2] + diag[1::2]
         off = off[0::2] + off[1::2]
         if conjugate:

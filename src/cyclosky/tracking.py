@@ -119,9 +119,12 @@ def predict(track: RfiTrack, t: float) -> Prediction:
     stats = track.stats
     if track.track_class == STATIONARY:
         return Prediction(DirectionLM(stats.mean_l, stats.mean_m), model.residual_rms)
-    span = max(stats.t_last - stats.t_first, np.finfo(float).tiny)
-    horizon = max(t - stats.t_last, 0.0)
-    radius = model.residual_rms * (1.0 + horizon / span)
+    radius = 0.0
+    if model.residual_rms:
+        # An exact fit keeps radius 0; otherwise 0 * inf would make it NaN.
+        span = max(stats.t_last - stats.t_first, np.finfo(float).tiny)
+        horizon = max(t - stats.t_last, 0.0)
+        radius = model.residual_rms * (1.0 + horizon / span)
     l = model.l0 + model.dl_dt * t
     m = model.m0 + model.dm_dt * t
     norm = np.hypot(l, m)

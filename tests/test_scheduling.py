@@ -1,3 +1,4 @@
+import json
 from math import exp, pi
 
 import numpy as np
@@ -10,7 +11,8 @@ from cyclosky.scheduling import (OMEGA_SIDEREAL, ChannelGrid, Program,
                                  read_flag_mask_csv, read_schedule_json,
                                  schedule, target_position,
                                  write_flag_mask_csv, write_schedule_json)
-from cyclosky.tracking import (Prediction, RfiTrack, TrackerConfig, classify)
+from cyclosky.tracking import (FAST, MotionFit, Prediction, RfiTrack,
+                               TrackerConfig, TrackStats, classify)
 
 
 def make_track(tid, samples, alpha=1.25e5, s_fast=5e-3):
@@ -150,6 +152,27 @@ class TestSchedule:
         progs = [self.zenith_program(pid=k) for k in range(7)]
         with pytest.raises(ValueError):
             schedule(progs, self.site, 8, mode="exact")
+
+    def test_exact_one_point_mover_keeps_risks_finite(self, tmp_path):
+        # Fitted from one point, so t_first == t_last and residual 0: the
+        # prediction radius must stay 0 at every horizon, not turn NaN.
+        track = RfiTrack(0, 1.25e5, True, [(0.0, DirectionLM(0.5, 0.0), 1.0)],
+                         FAST, MotionFit(0.5, 0.0, 1e-5, 0.0, 0.0),
+                         TrackStats(0.0, 0.0, 0.0, 0.0))
+        site = SiteModel(latitude=-0.5, slot_length=600.0)
+        program = Program(0, ra=0.0, dec=-pi / 2, freq_span=(1.419e9, 1.421e9),
+                          duration=12, priority=1.0)
+        sched = schedule([program], site, 12, tracks=[track])
+        assert sched.assignments == [0] * 12
+        assert all(np.isfinite(sched.risk))
+        path = tmp_path / "schedule.json"
+        write_schedule_json(sched, path)
+
+        def reject(name):
+            raise ValueError(f"schedule.json holds {name}")
+
+        doc = json.loads(path.read_text(), parse_constant=reject)
+        assert [s["risk"] for s in doc["slots"]] == sched.risk
 
     def test_horizon_too_short_diagnostic(self):
         p = self.zenith_program(duration=5)

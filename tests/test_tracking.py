@@ -3,9 +3,10 @@ import pytest
 
 from cyclosky.arraysim import DirectionLM
 from cyclosky.tracking import (FAST, SLOW, STATIONARY, UNCLASSIFIED, Detection,
-                               RfiTrack, Tracker, TrackerConfig, classify,
-                               fit_motion, predict, read_frame_log,
-                               tracks_from_record, write_frame_log)
+                               MotionFit, RfiTrack, Tracker, TrackerConfig,
+                               TrackStats, classify, fit_motion, predict,
+                               read_frame_log, tracks_from_record,
+                               write_frame_log)
 
 
 def det(t, l, m, alpha=1.25e5, conjugate=True, power=1.0):
@@ -109,6 +110,13 @@ class TestPredict:
         r_near = predict(track, 10.0).radius
         r_far = predict(track, 100.0).radius
         assert r_far > r_near > 0.0
+
+    def test_exact_one_point_fit_radius_zero(self):
+        track = RfiTrack(0, 1.25e5, True, [(0.0, DirectionLM(0.5, 0.0), 1.0)],
+                         FAST, MotionFit(0.5, 0.0, 1e-5, 0.0, 0.0),
+                         TrackStats(0.0, 0.0, 0.0, 0.0))
+        for t in (1.0, 4.0, 600.0):
+            assert predict(track, t).radius == 0.0
 
     def test_horizon_exit_flagged(self):
         tr = linear_track(6, 0.9, 0.0, 0.02, 0.0, s_stat=1e-6, gate_min=0.05)
