@@ -183,18 +183,22 @@ def synthesize(scene: Scene) -> ArraySnapshot:
     for index, src in enumerate(scene.sources):
         wave = _source_waveform(src, scene, index)
         traj = src.direction
+        block = MOTION_BLOCK
         if isinstance(traj, DirectionLM):
-            traj = TrajectorySpec(traj)
+            # A static source is steered once over the whole record.
+            traj, block = TrajectorySpec(traj), n
         # Reject trajectories that set below the horizon mid-scene.
         traj.position(scene.t0)
         traj.position(scene.t0 + n / scene.sample_rate)
-        for start in range(0, n, MOTION_BLOCK):
-            stop = min(start + MOTION_BLOCK, n)
+        for start in range(0, n, block):
+            stop = min(start + block, n)
             tc = scene.t0 + (start + stop) / 2.0 / scene.sample_rate
             a = steering_vector(geom, traj.position(tc))
             data[:, start:stop] += a[:, None] * wave[None, start:stop]
     if scene.system_noise_power > 0:
         rng = np.random.default_rng(_noise_seed(scene.seed))
         scale = np.sqrt(scene.system_noise_power / 2.0)
-        data += scale * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+        # Real parts first: the draw order fixes each seed's noise.
+        data.real += scale * rng.standard_normal((m, n))
+        data.imag += scale * rng.standard_normal((m, n))
     return ArraySnapshot(data, scene.sample_rate, scene.t0)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .arraysim import ArraySnapshot
 
-# Direct-vs-FFT agreement contract for full-grid scans.
+# Direct-vs-FFT agreement contract for FFT scans, folded or not.
 FFT_MATCH_RTOL = 1e-10
 # Threads per large FFT scan, the caller included. Only this count has been
 # measured (2-core host); each worker thread also keeps about 5 MB of freed
@@ -24,7 +24,10 @@ SCAN_THREADS = 2
 # FFT scans of fewer pair-samples, M(M+1)/2 * N, run on the calling thread
 # alone. On a 2-core host a second thread made both scans of a 48 x 256 frame
 # (301k pair-samples) slower, 9.5-12.4 ms against 6.9-7.8 ms on one thread,
-# and a 48 x 4096 frame (4.8M) 1.7-1.9x faster (min of 40 each).
+# and a 48 x 4096 frame (4.8M) 1.7-1.9x faster (min of 40 each). Folded
+# scans are counted at their product length N too: 8 x 16384 and 8 x 65536
+# records at 16 alpha, both folded to 1024 points, took 51-57 ms on two
+# threads and 62 ms on one (min of 9, four record pairs).
 PARALLEL_MIN_PAIR_SAMPLES = 2 ** 19
 # Samples per FFT call of a scan row; bounds the memory each thread holds.
 _BLOCK_SAMPLES = 2 ** 16
@@ -115,30 +118,42 @@ def _scan_threads():
 
 def _row_powers(z, zc, rows, n):
     """Yield, for each of `rows`, |F|^2 of the pairs (row, j >= row),
-    F = FFT(z_row zc_j), interleaved as (re^2, im^2) per bin: the diagonal
-    term j = row and the sum over j > row.
+    F = FFT(z_row zc_j) at transform length n, interleaved as (re^2, im^2)
+    per bin: the diagonal term j = row and the sum over j > row.
 
-    The partners go through the FFT in blocks, each summed by the einsum of
-    the former whole-row loop, whose per-bin sum is a chain of multiply-adds
-    (fused on some builds). A later block's einsum takes the row's sum so far
-    as an extra first row, times a row of ones, which is exact fused or not;
-    so the row's sum holds the same bits as one einsum over the whole row. A
-    row's last block is freed only after the next row's first one is made,
-    so the allocator reuses its pages instead of returning them.
+    The products are N = z.shape[1] long. For n < N (n divides N) each is
+    first folded onto period n, x_n[r] = sum_q x[r + qn], whose length-n DFT
+    holds the length-N DFT's bins that are multiples of N / n.
+
+    The partners go through the FFT in blocks of N product samples, each
+    summed by the einsum of the former whole-row loop, whose per-bin sum is
+    a chain of multiply-adds (fused on some builds). A later block's einsum
+    takes the row's sum so far as an extra first row, times a row of ones,
+    which is exact fused or not; so the row's sum holds the same bits as one
+    einsum over the whole row. A row's last block is freed only after the
+    next row's first one is made, so the allocator reuses its pages instead
+    of returning them.
     """
-    m = z.shape[0]
-    step = max(1, _BLOCK_SAMPLES // n)
+    m, samples = z.shape
+    fold = samples // n
+    step = max(1, _BLOCK_SAMPLES // samples)
+
+    def transform(p):
+        if fold > 1:
+            p = p.reshape(len(p), fold, n).sum(axis=1)
+        return np.fft.fft(p, axis=1).view(np.float64)
+
     if m > step:
         # A later block's einsum operands: rows (acc, f) and (1, f).
         left = np.empty((step + 1, 2 * n))
         right = np.empty((step + 1, 2 * n))
         right[0] = 1.0
     for row in rows:
-        f = np.fft.fft(z[row] * zc[row:row + step], axis=1).view(np.float64)
+        f = transform(z[row] * zc[row:row + step])
         diag = f[0] * f[0]
         acc = np.einsum("ij,ij->j", f[1:], f[1:])
         for start in range(row + step, m, step):
-            f = np.fft.fft(z[row] * zc[start:start + step], axis=1).view(np.float64)
+            f = transform(z[row] * zc[start:start + step])
             k = len(f) + 1
             left[0] = acc
             left[1:k] = right[1:k] = f
@@ -147,16 +162,17 @@ def _row_powers(z, zc, rows, n):
 
 
 def _scan_power(z, zc, n):
-    """Diagonal and off-diagonal |F|^2 of an FFT scan, summed over rows.
+    """Diagonal and off-diagonal |F|^2 of an FFT scan at transform length n,
+    summed over rows; the pair products are z.shape[1] long.
 
     Rows go round-robin to the calling thread (rows = 0 mod k) and k - 1
     workers; each worker hands its rows over in order through its own queue,
     and the caller adds every row in row order, so the sums do not depend on
     k. Workers call numpy and `_row_powers` only.
     """
-    m = z.shape[0]
+    m, samples = z.shape
     k = 1
-    if m * (m + 1) // 2 * n >= PARALLEL_MIN_PAIR_SAMPLES:
+    if m * (m + 1) // 2 * samples >= PARALLEL_MIN_PAIR_SAMPLES:
         k = min(_scan_threads(), m)
     queues = {first: queue.SimpleQueue() for first in range(1, k)}
     stop = threading.Event()
@@ -203,7 +219,11 @@ def cyclic_spectrum(snap: ArraySnapshot, alphas, conjugate=False,
     matches the direct estimator to FFT_MATCH_RTOL. It transforms only the
     pairs j >= i, M(M+1)/2 FFTs, because the rest follow by symmetry: with
     F_ij = FFT(z_i z_j^*), the non-conjugate |R_ji| at bin k is |F_ij[-k]| / N;
-    the conjugate matrix is symmetric, so |R_ji| = |R_ij|. method="direct"
+    the conjugate matrix is symmetric, so |R_ji| = |R_ij|. The products are
+    N samples long; when every requested bin is a multiple of d, the
+    greatest common divisor of N and the bins, each is folded onto period
+    N/d and transformed at that length (d = 1 for the full grids of
+    `fft_alpha_grid`). The result is still normalised by N. method="direct"
     takes any grid at O(K M^2 N) for K alphas; it is the reference.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
@@ -217,14 +237,17 @@ def cyclic_spectrum(snap: ArraySnapshot, alphas, conjugate=False,
         bins = _as_fft_bins(alphas, snap.sample_rate, n)
         if bins is None:
             raise ValueError("fft method needs alphas on the sample_rate/N grid")
+        d = int(np.gcd.reduce(bins, initial=n))
+        period = n // d
         zc = z if conjugate else z.conj()
-        diag, off = _scan_power(z, zc, n)
+        diag, off = _scan_power(z, zc, period)
         diag = diag[0::2] + diag[1::2]
         off = off[0::2] + off[1::2]
+        bins = bins // d
         if conjugate:
             power = diag[bins] + 2.0 * off[bins]
         else:
-            power = diag[bins] + off[bins] + off[(-bins) % n]
+            power = diag[bins] + off[bins] + off[(-bins) % period]
         mags = np.sqrt(power) / n
     elif method == "direct":
         mags = np.empty(alphas.size)
