@@ -290,15 +290,19 @@ class ScenarioConfig:
 
 
 def load_scenario(path, seed_override=None, mode_override=None) -> ScenarioConfig:
+    """The scenario at `path`, with `config_sha256` of the bytes it was read
+    from (the file is read once, so the manifest hashes what ran)."""
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ScenarioError(f"scenario file unreadable: {exc}")
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(data)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"scenario is not valid JSON: {exc}")
-    return ScenarioConfig(doc, seed_override, mode_override)
+    cfg = ScenarioConfig(doc, seed_override, mode_override)
+    cfg.config_sha256 = hashlib.sha256(data).hexdigest()
+    return cfg
 
 
 def _require_finite(values, what, frame_idx):
@@ -308,15 +312,19 @@ def _require_finite(values, what, frame_idx):
         raise ValueError(f"frame {frame_idx}: {what} has {bad} non-finite entries")
 
 
-def _analyze_frame(cfg, frame_snap, frame_time, out, frame_idx):
+def _write_skymap(smap, stem):
+    """`<stem>.csv` and `<stem>.pgm` (with its `.meta` sidecar)."""
+    imaging.write_skymap_csv(smap, f"{stem}.csv")
+    imaging.write_skymap_pgm(smap, f"{stem}.pgm")
+
+
+def _analyze_frame(cfg, frame_snap, out, frame_idx):
     """One detection / imaging cycle; returns the frame's detections."""
     detections = []
     r = cyclospec.corr_matrix(frame_snap)
     _require_finite(r, "covariance", frame_idx)
-    classical = imaging.skymap(r, cfg.geometry, cfg.skymap_grid)
-    stem = out / "skymaps" / f"frame_{frame_idx:04d}_classical"
-    imaging.write_skymap_csv(classical, str(stem) + ".csv")
-    imaging.write_skymap_pgm(classical, str(stem) + ".pgm")
+    _write_skymap(imaging.skymap(r, cfg.geometry, cfg.skymap_grid),
+                  out / "skymaps" / f"frame_{frame_idx:04d}_classical")
     scans = []
     if cfg.scan_non_conjugate:
         scans.append(False)
@@ -337,11 +345,9 @@ def _analyze_frame(cfg, frame_snap, frame_time, out, frame_idx):
         ra = cyclospec.cyclic_corr_matrix(frame_snap, alpha, conjugate)
         cmap = imaging.cyclic_skymap(ra, cfg.geometry, cfg.skymap_grid)
         if rank == 0:
-            stem = out / "skymaps" / f"frame_{frame_idx:04d}_cyclic"
-            imaging.write_skymap_csv(cmap, str(stem) + ".csv")
-            imaging.write_skymap_pgm(cmap, str(stem) + ".pgm")
+            _write_skymap(cmap, out / "skymaps" / f"frame_{frame_idx:04d}_cyclic")
         for direction, power in imaging.locate_peaks(cmap, cfg.max_peaks):
-            detections.append(tracking.Detection(frame_time, alpha, conjugate,
+            detections.append(tracking.Detection(frame_snap.t0, alpha, conjugate,
                                                  direction, power))
     return detections
 
@@ -387,7 +393,7 @@ def run_pipeline(cfg: ScenarioConfig, out_dir):
         frame_time = snap.t0 + lo / snap.sample_rate
         frame = arraysim.ArraySnapshot(snap.data[:, lo:hi], snap.sample_rate,
                                        frame_time)
-        detections = _analyze_frame(cfg, frame, frame_time, out, idx)
+        detections = _analyze_frame(cfg, frame, out, idx)
         tracker.step(detections, frame_time)
         tracking.write_frame_log(tracker.frame_record(frame_time),
                                  out / "tracks" / f"frame_{idx:04d}.json")
@@ -395,10 +401,9 @@ def run_pipeline(cfg: ScenarioConfig, out_dir):
     _plan(cfg, tracker.tracks, out)
 
 
-def _write_manifest(cfg_path, cfg, out_dir):
-    digest = hashlib.sha256(Path(cfg_path).read_bytes()).hexdigest()
+def _write_manifest(cfg, out_dir):
     manifest = {
-        "config_sha256": digest,
+        "config_sha256": cfg.config_sha256,
         "seed": cfg.seed,
         "mode": cfg.mode,
         "versions": {"cyclosky": __version__, "numpy": np.__version__,
@@ -414,7 +419,7 @@ def _cmd_run(args, cfg):
     if not args.validate_only:
         out_dir = args.out or cfg.out_dir
         run_pipeline(cfg, out_dir)
-        _write_manifest(args.config, cfg, out_dir)
+        _write_manifest(cfg, out_dir)
 
 
 def _cmd_validate(args, cfg):
@@ -449,13 +454,12 @@ def _cmd_skymap(args, cfg):
     else:
         ra = cyclospec.cyclic_corr_matrix(snap, args.alpha, args.conjugate)
         smap = imaging.cyclic_skymap(ra, geom, cfg.skymap_grid)
-    imaging.write_skymap_csv(smap, out / "skymap.csv")
-    imaging.write_skymap_pgm(smap, out / "skymap.pgm")
+    _write_skymap(smap, out / "skymap")
 
 
 def _cmd_schedule(args, cfg):
     try:
-        tracks = tracking.tracks_from_record(tracking.read_frame_log(args.tracks))
+        tracks = tracking.tracks_from_record(json.loads(Path(args.tracks).read_bytes()))
     except KeyError as exc:
         raise ValueError(f"{args.tracks} is not a frame log: it lacks key {exc}") from None
     except (TypeError, ValueError) as exc:

@@ -75,8 +75,8 @@ def cyclic_corr_matrix(snap: ArraySnapshot, alpha, conjugate=False) -> CyclicCor
     transpose of the one at +alpha; it is computed that way so the pair is
     exactly consistent in floating point.
     """
-    if abs(alpha) >= snap.sample_rate:
-        raise ValueError("alpha must satisfy |alpha| < sample_rate")
+    if not abs(alpha) < snap.sample_rate:  # NaN fails this too
+        raise ValueError(f"alpha must satisfy |alpha| < sample_rate, not {alpha}")
     if not conjugate and alpha < 0:
         pos = _cyclic_kernel(snap.data, -alpha, snap.sample_rate, False)
         return CyclicCorrMatrix(pos.conj().T, alpha, False)
@@ -301,22 +301,3 @@ def write_spectrum_csv(spec: CyclicSpectrum, path):
         fh.write(f"# conjugate={str(spec.conjugate).lower()}\n")
         fh.write("alpha_hz,magnitude\n")
         fh.write("%.17g,%.17g\n" * spec.alphas.size % tuple(pairs))
-
-
-def read_spectrum_csv(path) -> CyclicSpectrum:
-    with open(path, newline="") as fh:
-        first = fh.readline().strip()
-        header = fh.readline().strip()
-        lines = fh.read().splitlines()
-    if first not in ("# conjugate=true", "# conjugate=false"):
-        raise ValueError(f"{path}: spectrum lacks its '# conjugate=' line")
-    if header != "alpha_hz,magnitude":
-        raise ValueError(f"{path}: unexpected spectrum header {header!r}")
-    if not lines:
-        raise ValueError(f"{path}: spectrum has no rows")
-    try:
-        alphas, mags = np.array([[float(x) for x in line.split(",")]
-                                 for line in lines]).T
-    except ValueError as exc:
-        raise ValueError(f"{path}: unreadable spectrum rows ({exc})") from None
-    return CyclicSpectrum(alphas, mags, first == "# conjugate=true")

@@ -217,27 +217,6 @@ def write_skymap_csv(smap: Skymap, path):
         fh.write(row * n_l % tuple(smap.power.ravel().tolist()))
 
 
-def read_skymap_csv(path) -> Skymap:
-    with open(path, newline="") as fh:
-        header = fh.readline().strip().lstrip("# ").split()
-        lines = fh.read().splitlines()
-    meta = dict(kv.partition("=")[::2] for kv in header)
-    missing = [k for k in ("kind", "alpha_hz", "l_min", "l_max", "m_min", "m_max")
-               if not meta.get(k)]
-    if missing:
-        raise ValueError(f"{path}: skymap header lacks {', '.join(missing)}")
-    if not lines:
-        raise ValueError(f"{path}: skymap has no rows")
-    try:
-        power = np.array([[float(x) for x in line.split(",")] for line in lines])
-    except ValueError as exc:
-        raise ValueError(f"{path}: unreadable skymap rows ({exc})") from None
-    grid = SkymapGrid(float(meta["l_min"]), float(meta["l_max"]),
-                      float(meta["m_min"]), float(meta["m_max"]),
-                      power.shape[0], power.shape[1])
-    return Skymap(grid, power, meta["kind"], float(meta["alpha_hz"]))
-
-
 def write_skymap_pgm(smap: Skymap, path):
     """16-bit big-endian P5 image, linearly scaled from [0, max].
 
@@ -259,25 +238,3 @@ def write_skymap_pgm(smap: Skymap, path):
         fh.write(f"l_min={g.l_min:.17g}\nl_max={g.l_max:.17g}\n")
         fh.write(f"m_min={g.m_min:.17g}\nm_max={g.m_max:.17g}\n")
         fh.write(f"kind={smap.kind}\nalpha_hz={smap.alpha:.17g}\n")
-
-
-def read_skymap_pgm(path) -> Skymap:
-    with open(path, "rb") as fh:
-        magic = fh.readline().strip()
-        if magic != b"P5":
-            raise ValueError("not a P5 PGM file")
-        width, height = (int(v) for v in fh.readline().split())
-        maxval = int(fh.readline())
-        if maxval != 65535:
-            raise ValueError("expected a 16-bit PGM")
-        img = np.frombuffer(fh.read(), dtype=">u2").reshape(height, width)
-    meta = {}
-    with open(str(path) + ".meta") as fh:
-        for line in fh:
-            k, v = line.strip().split("=")
-            meta[k] = v
-    power = img.astype(float) * float(meta["scale"])
-    grid = SkymapGrid(float(meta["l_min"]), float(meta["l_max"]),
-                      float(meta["m_min"]), float(meta["m_max"]),
-                      height, width)
-    return Skymap(grid, power, meta["kind"], float(meta["alpha_hz"]))

@@ -302,18 +302,6 @@ def write_schedule_json(sched: Schedule, path):
         fh.write("\n")
 
 
-def read_schedule_json(path) -> Schedule:
-    with open(path) as fh:
-        doc = json.load(fh)
-    assignments = [s["program"] for s in doc["slots"]]
-    pointings = [None if s["pointing"] is None else DirectionLM(*s["pointing"])
-                 for s in doc["slots"]]
-    risk = [s["risk"] for s in doc["slots"]]
-    return Schedule(assignments, pointings, risk, doc["total_risk"],
-                    doc["objective"], {int(k): v for k, v in doc["starts"].items()},
-                    doc["unscheduled"], doc["diagnostics"])
-
-
 def write_flag_mask_csv(mask: FlagMask, path):
     with open(path, "w", newline="") as fh:
         fh.write(f"# slot_length_s={mask.slot_length:.17g}"
@@ -321,11 +309,3 @@ def write_flag_mask_csv(mask: FlagMask, path):
                  f" f_start_hz={mask.f_start:.17g}\n")
         for row in mask.flags:
             fh.write(",".join("1" if v else "0" for v in row) + "\n")
-
-
-def read_flag_mask_csv(path) -> FlagMask:
-    with open(path, newline="") as fh:
-        meta = dict(kv.split("=") for kv in fh.readline().strip().lstrip("# ").split())
-        rows = [[cell == "1" for cell in line.strip().split(",")] for line in fh]
-    return FlagMask(np.array(rows, dtype=bool), float(meta["channel_width_hz"]),
-                    float(meta["f_start_hz"]), float(meta["slot_length_s"]))

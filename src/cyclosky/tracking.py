@@ -227,11 +227,6 @@ def write_frame_log(record: dict, path):
         fh.write("\n")
 
 
-def read_frame_log(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def tracks_from_record(record: dict):
     """Rebuild prediction-capable tracks from a frame log document; a track
     of unknown class, or classified without model or stats, is a ValueError."""

@@ -1,18 +1,17 @@
 import copy
 import filecmp
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cyclosky import arraysim, cyclospec, imaging, scheduling, tracking
+from cyclosky import arraysim, cli, cyclospec, imaging, scheduling, tracking
 from cyclosky.arraysim import ArraySnapshot
 from cyclosky.cli import load_scenario, main, run_pipeline
-from cyclosky.cyclospec import cyclic_corr_matrix, read_spectrum_csv
-from cyclosky.imaging import cyclic_skymap, read_skymap_csv
-from cyclosky.scheduling import read_flag_mask_csv, read_schedule_json
-from cyclosky.tracking import read_frame_log
+from cyclosky.cyclospec import cyclic_corr_matrix
+from cyclosky.imaging import cyclic_skymap
 
 SMALL_SCENARIO = {
     "schema_version": 1,
@@ -117,11 +116,19 @@ class TestValidation:
         assert main(["run", "--config", str(write_scenario(tmp_path, doc)),
                      "--out", str(out)]) == 0
         for name in ("classical", "cyclic"):
-            smap = read_skymap_csv(out / "skymaps" / f"frame_0000_{name}.csv")
-            assert np.all(np.isfinite(smap.power))
+            power = np.loadtxt(out / "skymaps" / f"frame_0000_{name}.csv", delimiter=",")
+            assert np.all(np.isfinite(power))
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 2
+
+    def test_undecodable_file_is_scenario_error(self, tmp_path, capsys):
+        path = tmp_path / "scene.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(SMALL_SCENARIO).encode())
+        assert main(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: scenario is not valid JSON: ")
+        assert "Traceback" not in err
 
     def test_frame_length_must_divide(self, tmp_path, capsys):
         doc = copy.deepcopy(SMALL_SCENARIO)
@@ -315,17 +322,33 @@ class TestRun:
         assert "generated_at" in manifest
 
         for frame in range(2):
-            smap = read_skymap_csv(out / "skymaps" / f"frame_{frame:04d}_classical.csv")
-            assert smap.power.shape == (48, 48)
-            spec = read_spectrum_csv(out / "spectra" / f"frame_{frame:04d}_conj.csv")
-            assert spec.conjugate
-            record = read_frame_log(out / "tracks" / f"frame_{frame:04d}.json")
+            power = np.loadtxt(out / "skymaps" / f"frame_{frame:04d}_classical.csv",
+                               delimiter=",")
+            assert power.shape == (48, 48)
+            spec = out / "spectra" / f"frame_{frame:04d}_conj.csv"
+            assert spec.read_text().startswith("# conjugate=true\n")
+            record = json.loads((out / "tracks" / f"frame_{frame:04d}.json").read_text())
             assert "tracks" in record
 
-        sched = read_schedule_json(out / "schedule.json")
-        assert len(sched.assignments) == 4
-        mask = read_flag_mask_csv(out / "flagmask.csv")
-        assert mask.flags.shape == (4, 8)
+        sched = json.loads((out / "schedule.json").read_text())
+        assert len(sched["slots"]) == 4
+        flags = np.loadtxt(out / "flagmask.csv", delimiter=",", dtype=int)
+        assert flags.shape == (4, 8)
+
+    def test_manifest_hashes_the_bytes_that_ran(self, scenario, tmp_path,
+                                                monkeypatch):
+        ran = scenario.read_bytes()
+
+        def edit_then_run(cfg, out_dir):
+            scenario.write_text(json.dumps(dict(SMALL_SCENARIO, seed=8)))
+            run_pipeline(cfg, out_dir)
+
+        monkeypatch.setattr(cli, "run_pipeline", edit_then_run)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(scenario), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config_sha256"] == hashlib.sha256(ran).hexdigest()
+        assert manifest["seed"] == 7
 
     def test_seed_override(self, scenario, tmp_path):
         out = tmp_path / "o"
@@ -423,19 +446,21 @@ class TestSkymapCommand:
         sky_out = tmp_path / "sky"
         assert main(["skymap", "--config", str(scenario),
                      "--snapshot", str(run_out), "--out", str(sky_out)]) == 0
-        smap = read_skymap_csv(sky_out / "skymap.csv")
-        assert smap.kind == "classical"
+        assert (sky_out / "skymap.csv").read_text().startswith(
+            "# kind=classical alpha_hz=0 l_min=-1 l_max=1 m_min=-1 m_max=1\n")
 
         cyc_out = tmp_path / "cyc"
         assert main(["skymap", "--config", str(scenario),
                      "--snapshot", str(run_out), "--alpha", "125000",
                      "--conjugate", "--out", str(cyc_out)]) == 0
-        cmap = read_skymap_csv(cyc_out / "skymap.csv")
-        assert cmap.kind == "conjugate_cyclic"
+        assert (cyc_out / "skymap.csv").read_text().startswith(
+            "# kind=conjugate_cyclic alpha_hz=125000 l_min=-1 l_max=1 m_min=-1 m_max=1\n")
+        power = np.loadtxt(cyc_out / "skymap.csv", delimiter=",")
         # The BPSK source dominates the conjugate cyclic map.
-        i, j = np.unravel_index(np.argmax(cmap.power), cmap.power.shape)
-        assert abs(cmap.grid.l_axis()[i] - 0.4) < 0.1
-        assert abs(cmap.grid.m_axis()[j] + 0.3) < 0.1
+        grid = load_scenario(scenario).skymap_grid
+        i, j = np.unravel_index(np.argmax(power), power.shape)
+        assert abs(grid.l_axis()[i] - 0.4) < 0.1
+        assert abs(grid.m_axis()[j] + 0.3) < 0.1
 
     def test_geometry_comes_from_snapshot(self, tmp_path):
         # The run overrides the scenario seed, so the array it simulates
@@ -449,7 +474,7 @@ class TestSkymapCommand:
         sky_out = tmp_path / "sky"
         assert main(["skymap", "--config", str(path), "--snapshot", str(run_out),
                      "--alpha", "125000", "--conjugate", "--out", str(sky_out)]) == 0
-        cmap = read_skymap_csv(sky_out / "skymap.csv")
+        power = np.loadtxt(sky_out / "skymap.csv", delimiter=",")
 
         cfg = load_scenario(path, seed_override=7)
         meta = json.loads((run_out / "snapshot_meta.json").read_text())
@@ -459,10 +484,10 @@ class TestSkymapCommand:
                              meta["sample_rate_hz"], meta["t0_s"])
         expected = cyclic_skymap(cyclic_corr_matrix(snap, 125000.0, True),
                                  cfg.geometry, cfg.skymap_grid)
-        assert np.array_equal(cmap.power, expected.power)
-        i, j = np.unravel_index(np.argmax(cmap.power), cmap.power.shape)
-        assert abs(cmap.grid.l_axis()[i] - 0.4) < 0.1
-        assert abs(cmap.grid.m_axis()[j] + 0.3) < 0.1
+        assert np.array_equal(power, expected.power)
+        i, j = np.unravel_index(np.argmax(power), power.shape)
+        assert abs(cfg.skymap_grid.l_axis()[i] - 0.4) < 0.1
+        assert abs(cfg.skymap_grid.m_axis()[j] + 0.3) < 0.1
 
     def test_snapshot_seed_mismatch_is_runtime_error(self, scenario, tmp_path, capsys):
         run_out = tmp_path / "run_out"
@@ -495,6 +520,14 @@ class TestSkymapCommand:
         assert "1 non-finite samples" in capsys.readouterr().err
         assert not (tmp_path / "sky" / "skymap.csv").exists()
 
+    def test_nan_alpha_is_runtime_error(self, scenario, tmp_path, capsys):
+        run_out = tmp_path / "run_out"
+        assert main(["run", "--config", str(scenario), "--out", str(run_out)]) == 0
+        assert main(["skymap", "--config", str(scenario), "--snapshot", str(run_out),
+                     "--alpha", "nan", "--out", str(tmp_path / "sky")]) == 3
+        assert "not nan" in capsys.readouterr().err
+        assert not (tmp_path / "sky" / "skymap.csv").exists()
+
     def test_missing_snapshot_is_runtime_error(self, scenario, tmp_path):
         assert main(["skymap", "--config", str(scenario),
                      "--snapshot", str(tmp_path / "nothing"),
@@ -509,8 +542,8 @@ class TestScheduleCommand:
         sch_out = tmp_path / "sch"
         assert main(["schedule", "--config", str(scenario),
                      "--tracks", str(logs[-1]), "--out", str(sch_out)]) == 0
-        sched = read_schedule_json(sch_out / "schedule.json")
-        assert len(sched.assignments) == 4
+        sched = json.loads((sch_out / "schedule.json").read_text())
+        assert len(sched["slots"]) == 4
         assert (sch_out / "flagmask.csv").exists()
 
     def test_schedule_without_channels_removes_flag_mask(self, scenario, tmp_path):
@@ -545,7 +578,7 @@ class TestScheduleCommand:
         assert main(["run", "--config", str(scenario), "--out", str(run_out)]) == 0
         path = run_out / name
         if edit is not None:
-            log = read_frame_log(sorted(run_out.glob("tracks/frame_*.json"))[-1])
+            log = json.loads(sorted(run_out.glob("tracks/frame_*.json"))[-1].read_text())
             assert log["tracks"] and log["tracks"][0]["model"] is not None
             edit(log)
             path.write_text(json.dumps(log))

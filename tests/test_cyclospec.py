@@ -7,7 +7,7 @@ from cyclosky.arraysim import (ArraySnapshot, DirectionLM, Scene, SourceSpec,
                                default_geometry, steering_vector, synthesize)
 from cyclosky.cyclospec import (FFT_MATCH_RTOL, corr_matrix, cyclic_corr_matrix,
                                 cyclic_spectrum, detect_cyclic_freqs, fft_alpha_grid,
-                                read_spectrum_csv, write_spectrum_csv)
+                                write_spectrum_csv)
 
 
 def noise_snapshot(m, n, seed, power=1.0, fs=1e6):
@@ -112,6 +112,12 @@ class TestCyclicCorrMatrix:
         snap = noise_snapshot(3, 64, seed=1)
         with pytest.raises(ValueError):
             cyclic_corr_matrix(snap, snap.sample_rate)
+
+    @pytest.mark.parametrize("conjugate", [False, True])
+    def test_rejects_nan_alpha(self, conjugate):
+        snap = noise_snapshot(3, 64, seed=1)
+        with pytest.raises(ValueError, match="not nan"):
+            cyclic_corr_matrix(snap, float("nan"), conjugate)
 
 
 class TestCyclicSpectrum:
@@ -255,7 +261,8 @@ class TestExports:
         spec = cyclic_spectrum(snap, fft_alpha_grid(snap, True), conjugate=True)
         path = tmp_path / "spec.csv"
         write_spectrum_csv(spec, path)
-        back = read_spectrum_csv(path)
-        assert back.conjugate
-        assert np.array_equal(back.alphas, spec.alphas)
-        assert np.array_equal(back.magnitudes, spec.magnitudes)
+        lines = path.read_text().splitlines()
+        assert lines[:2] == ["# conjugate=true", "alpha_hz,magnitude"]
+        alphas, mags = np.loadtxt(lines[2:], delimiter=",", unpack=True)
+        assert np.array_equal(alphas, spec.alphas)
+        assert np.array_equal(mags, spec.magnitudes)

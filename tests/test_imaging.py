@@ -8,8 +8,7 @@ from cyclosky.arraysim import (C_LIGHT, ArrayGeometry, ArraySnapshot,
                                DirectionLM, default_geometry, steering_vector)
 from cyclosky.cyclospec import CyclicCorrMatrix, cyclic_corr_matrix
 from cyclosky.imaging import (Skymap, SkymapGrid, cyclic_skymap, locate_peaks,
-                              read_skymap_csv, read_skymap_pgm, skymap,
-                              write_skymap_csv, write_skymap_pgm)
+                              skymap, write_skymap_csv, write_skymap_pgm)
 
 
 @pytest.fixture
@@ -289,19 +288,22 @@ class TestExports:
         smap = skymap(point_source_cov(geom, d), geom, grid)
         path = tmp_path / "map.csv"
         write_skymap_csv(smap, path)
-        back = read_skymap_csv(path)
-        assert back.kind == smap.kind
-        assert np.array_equal(back.power, smap.power)
-        assert back.grid.l_min == grid.l_min
+        lines = path.read_text().splitlines()
+        assert lines[0] == "# kind=classical alpha_hz=0 l_min=-1 l_max=1 m_min=-1 m_max=1"
+        assert np.array_equal(np.loadtxt(lines[1:], delimiter=","), smap.power)
 
     def test_pgm_roundtrip(self, geom, grid, tmp_path):
         d = on_grid_direction(grid, 12, 50)
         smap = skymap(point_source_cov(geom, d), geom, grid)
         path = tmp_path / "map.pgm"
         write_skymap_pgm(smap, path)
-        back = read_skymap_pgm(path)
-        assert back.kind == smap.kind
-        # 16-bit quantization bounds the round-trip error.
-        assert np.abs(back.power - smap.power).max() <= smap.power.max() / 65535.0
-        with open(path, "rb") as fh:
-            assert fh.readline().strip() == b"P5"
+        header = f"P5\n{grid.n_m} {grid.n_l}\n65535\n".encode()
+        data = path.read_bytes()
+        assert data.startswith(header)
+        img = np.frombuffer(data[len(header):], dtype=">u2").reshape(grid.n_l, grid.n_m)
+        peak = smap.power.max()
+        assert np.array_equal(img, np.rint(smap.power / peak * 65535))
+        with open(str(path) + ".meta") as fh:
+            assert fh.read().splitlines() == [
+                f"scale={peak / 65535:.17g}", "l_min=-1", "l_max=1", "m_min=-1",
+                "m_max=1", "kind=classical", "alpha_hz=0"]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,7 @@ from cyclosky.arraysim import DirectionLM
 from cyclosky.tracking import (FAST, SLOW, STATIONARY, UNCLASSIFIED, Detection,
                                MotionFit, RfiTrack, Tracker, TrackerConfig,
                                TrackStats, classify, fit_motion, predict,
-                               read_frame_log, tracks_from_record,
-                               write_frame_log)
+                               tracks_from_record, write_frame_log)
 
 
 def det(t, l, m, alpha=1.25e5, conjugate=True, power=1.0):
@@ -222,7 +223,7 @@ class TestFrameLog:
         record = tr.frame_record(7.0)
         path = tmp_path / "frame.json"
         write_frame_log(record, path)
-        back = read_frame_log(path)
+        back = json.loads(path.read_text())
         assert back == record
         rebuilt = tracks_from_record(back)
         assert len(rebuilt) == 1
