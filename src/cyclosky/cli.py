@@ -319,12 +319,22 @@ def _write_skymap(smap, stem):
 
 
 def _analyze_frame(cfg, frame_snap, out, frame_idx):
-    """One detection / imaging cycle; returns the frame's detections."""
+    """One detection / imaging cycle; returns the frame's detections.
+
+    Both alpha-scans run on the frame's signal subspace, y = U_r^H z, each
+    tested against its own stationary null; each hit is imaged on all
+    antennas and gives as many map peaks as it has sources, up to
+    `max_peaks`.
+    """
     detections = []
     r = cyclospec.corr_matrix(frame_snap)
     _require_finite(r, "covariance", frame_idx)
     _write_skymap(imaging.skymap(r, cfg.geometry, cfg.skymap_grid),
                   out / "skymaps" / f"frame_{frame_idx:04d}_classical")
+    n = frame_snap.n_samples
+    lam, vecs, rank = cyclospec.signal_subspace(r, n)
+    subspace = arraysim.ArraySnapshot(vecs[:, :rank].conj().T @ frame_snap.data,
+                                      frame_snap.sample_rate, frame_snap.t0)
     scans = []
     if cfg.scan_non_conjugate:
         scans.append(False)
@@ -332,21 +342,26 @@ def _analyze_frame(cfg, frame_snap, out, frame_idx):
         scans.append(True)
     hits = []
     for conjugate in scans:
-        grid = cyclospec.fft_alpha_grid(frame_snap, conjugate)
-        spec = cyclospec.cyclic_spectrum(frame_snap, grid, conjugate)
+        grid = cyclospec.fft_alpha_grid(subspace, conjugate)
+        spec = cyclospec.cyclic_spectrum(subspace, grid, conjugate)
         label = "conj" if conjugate else "nonconj"
         _require_finite(spec.magnitudes, f"{label} spectrum", frame_idx)
         cyclospec.write_spectrum_csv(
             spec, out / "spectra" / f"frame_{frame_idx:04d}_{label}.csv")
-        for alpha, mag in cyclospec.detect_cyclic_freqs(spec):
+        for alpha, mag in cyclospec.detect_cyclic_freqs(spec, lam[:rank], n):
             hits.append((conjugate, alpha, mag))
     hits.sort(key=lambda h: -h[2])
-    for rank, (conjugate, alpha, _) in enumerate(hits[:cfg.max_detections]):
+    first = True
+    for conjugate, alpha, _ in hits[:cfg.max_detections]:
         ra = cyclospec.cyclic_corr_matrix(frame_snap, alpha, conjugate)
+        sources = cyclospec.source_count(ra, lam, vecs, n)
+        if sources == 0:
+            continue
         cmap = imaging.cyclic_skymap(ra, cfg.geometry, cfg.skymap_grid)
-        if rank == 0:
+        if first:
             _write_skymap(cmap, out / "skymaps" / f"frame_{frame_idx:04d}_cyclic")
-        for direction, power in imaging.locate_peaks(cmap, cfg.max_peaks):
+            first = False
+        for direction, power in imaging.locate_peaks(cmap, min(sources, cfg.max_peaks)):
             detections.append(tracking.Detection(frame_snap.t0, alpha, conjugate,
                                                  direction, power))
     return detections
@@ -447,13 +462,13 @@ def _cmd_skymap(args, cfg):
         snap = arraysim.ArraySnapshot(data, meta["sample_rate_hz"], meta["t0_s"])
     except ValueError as exc:
         raise ValueError(f"{Path(args.snapshot) / 'snapshot.npy'}: {exc}") from None
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.alpha is None:
         smap = imaging.skymap(cyclospec.corr_matrix(snap), geom, cfg.skymap_grid)
     else:
         ra = cyclospec.cyclic_corr_matrix(snap, args.alpha, args.conjugate)
         smap = imaging.cyclic_skymap(ra, geom, cfg.skymap_grid)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     _write_skymap(smap, out / "skymap")
 
 

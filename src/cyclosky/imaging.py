@@ -186,8 +186,12 @@ def locate_peaks(smap: Skymap, max_peaks: int):
     m_axis = smap.grid.m_axis()
     dl = l_axis[1] - l_axis[0]
     dm = m_axis[1] - m_axis[0]
+    vals = power[mask]
+    med = np.median(vals)
+    # MAD scaled to the standard deviation of a Gaussian.
+    mad = 1.4826 * np.median(np.abs(vals - med))
     peaks = []
-    for i, j in zip(*_local_maxima(power, mask)):
+    for i, j in zip(*_local_maxima(power, mask, med + 5.0 * mad)):
         value = power[i, j]
         off_i = off_j = 0.0
         if 0 < i < n_l - 1 and 0 < j < n_m - 1 and mask[i - 1:i + 2, j - 1:j + 2].all():

@@ -526,7 +526,7 @@ class TestSkymapCommand:
         assert main(["skymap", "--config", str(scenario), "--snapshot", str(run_out),
                      "--alpha", "nan", "--out", str(tmp_path / "sky")]) == 3
         assert "not nan" in capsys.readouterr().err
-        assert not (tmp_path / "sky" / "skymap.csv").exists()
+        assert not (tmp_path / "sky").exists()
 
     def test_missing_snapshot_is_runtime_error(self, scenario, tmp_path):
         assert main(["skymap", "--config", str(scenario),

@@ -7,7 +7,7 @@ from cyclosky.arraysim import (ArraySnapshot, DirectionLM, Scene, SourceSpec,
                                default_geometry, steering_vector, synthesize)
 from cyclosky.cyclospec import (FFT_MATCH_RTOL, corr_matrix, cyclic_corr_matrix,
                                 cyclic_spectrum, detect_cyclic_freqs, fft_alpha_grid,
-                                write_spectrum_csv)
+                                signal_subspace, write_spectrum_csv)
 
 
 def noise_snapshot(m, n, seed, power=1.0, fs=1e6):
@@ -209,6 +209,13 @@ class TestCyclicSpectrum:
             cyclic_spectrum(snap, np.array([1.0, 1.0, 2.0]))
 
 
+def detect_full(spec, snap):
+    """Hits of a full scan of `snap`, tested against the null of all M
+    eigenvalues of its covariance."""
+    lam = signal_subspace(corr_matrix(snap), snap.n_samples)[0]
+    return detect_cyclic_freqs(spec, lam, snap.n_samples)
+
+
 class TestDetect:
     def test_noise_only_mostly_empty(self):
         alphas = np.arange(1, 65) * 1e6 / 256
@@ -217,7 +224,7 @@ class TestDetect:
         for seed in range(trials):
             snap = noise_snapshot(8, 256, seed=1000 + seed)
             spec = cyclic_spectrum(snap, alphas, method="direct")
-            if not detect_cyclic_freqs(spec):
+            if not detect_full(spec, snap):
                 empty += 1
         assert empty / trials >= 0.99
 
@@ -226,7 +233,7 @@ class TestDetect:
         _, _, snap = bpsk_scene_snapshot(8, 16384, seed=12, fs=fs)
         grid = fft_alpha_grid(snap, conjugate=True)
         spec = cyclic_spectrum(snap, grid, conjugate=True)
-        hits = detect_cyclic_freqs(spec)
+        hits = detect_full(spec, snap)
         assert len(hits) == 1
         assert hits[0][0] == pytest.approx(fs / 8)
 
@@ -240,19 +247,28 @@ class TestDetect:
         snap = synthesize(Scene(geom, srcs, 16384, fs, 1.0, seed=14))
         grid = fft_alpha_grid(snap, conjugate=True)
         spec = cyclic_spectrum(snap, grid, conjugate=True)
-        found = {round(alpha) for alpha, _ in detect_cyclic_freqs(spec)[:2]}
+        found = {round(alpha) for alpha, _ in detect_full(spec, snap)[:2]}
         assert found == {round(fs / 8), round(fs / 16)}
+
+    def test_alpha_zero_is_a_neighbour_but_never_a_hit(self):
+        # The covariance bin takes part in the local-maximum rule and is then
+        # dropped, so a weaker bin beside it is no hit either.
+        from cyclosky.cyclospec import CyclicSpectrum
+        mags = np.zeros(32)
+        mags[[5, 6, 20]] = 100.0, 50.0, 50.0
+        spec = CyclicSpectrum(np.arange(-5.0, 27.0), mags, False)
+        assert detect_cyclic_freqs(spec, [1.0], 64) == [(15.0, 50.0)]
 
     def test_degenerate_spectrum_empty(self):
         from cyclosky.cyclospec import CyclicSpectrum
         spec = CyclicSpectrum(np.arange(32.0), np.ones(32), False)
-        assert detect_cyclic_freqs(spec) == []
+        assert detect_cyclic_freqs(spec, [1e-6], 64) == []
 
     def test_requires_enough_points(self):
         from cyclosky.cyclospec import CyclicSpectrum
         spec = CyclicSpectrum(np.arange(8.0), np.ones(8), False)
         with pytest.raises(ValueError):
-            detect_cyclic_freqs(spec)
+            detect_cyclic_freqs(spec, [1.0], 16)
 
 
 class TestExports:

@@ -1,11 +1,16 @@
-"""The shared peak rule against the two finders it replaced.
+"""The shared peak rule against loop references.
 
-`reference_detect` and `reference_locate` are the former bodies of
-`detect_cyclic_freqs` (a loop over bins) and `locate_peaks` (an 8-shift loop
-over a padded map). Both finders must return exactly what they returned.
-Integer-valued inputs make plateaus and ties common, so a strict comparison
+`reference_detect` is the α-scan detector written as a loop over bins: a
+strict local maximum above the stationary-null threshold (`null_threshold`
+at the scan's false-alarm rate split over its eligible bins), with the
+non-conjugate α = 0 bin excluded. `reference_locate` is the former body of
+`locate_peaks` (an 8-shift loop over a padded map). Both finders must return
+exactly what their references return. Inputs from a few levels, one of them
+the threshold itself, make plateaus and ties common, so a strict comparison
 turned non-strict shows.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -13,19 +18,25 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cyclosky.arraysim import DirectionLM
-from cyclosky.cyclospec import CyclicSpectrum, detect_cyclic_freqs
+from cyclosky.cyclospec import SCAN_PFA, CyclicSpectrum, detect_cyclic_freqs, null_threshold
 from cyclosky.imaging import Skymap, SkymapGrid, _refine_axis, locate_peaks
 
 
-def reference_detect(spec):
+def reference_root_threshold(alphas, conjugate, eigenvalues, n_samples):
+    step = alphas[1] - alphas[0]
+    eligible = sum(1 for a in alphas if conjugate or abs(a) >= 0.5 * step)
+    return math.sqrt(null_threshold(eigenvalues, n_samples, conjugate,
+                                    SCAN_PFA / eligible))
+
+
+def reference_detect(spec, eigenvalues, n_samples):
     mags = spec.magnitudes
     alphas = spec.alphas
     if mags.size < 16:
         raise ValueError("spectrum needs at least 16 grid points")
-    med = np.median(mags)
-    mad = 1.4826 * np.median(np.abs(mags - med))
-    threshold = med + 5.0 * mad
-    step = alphas[1] - alphas[0] if alphas.size > 1 else 1.0
+    threshold = reference_root_threshold(alphas, spec.conjugate, eigenvalues,
+                                         n_samples)
+    step = alphas[1] - alphas[0]
     hits = []
     for i in range(mags.size):
         left = mags[i - 1] if i > 0 else -np.inf
@@ -96,11 +107,20 @@ def values(shape):
 
 
 @st.composite
-def spectra(draw):
+def detector_inputs(draw):
+    """A spectrum and the eigenvalues and sample count of its null.
+    Magnitudes are multiples of the root threshold, whose multiple 1 is the
+    threshold itself."""
     n = draw(st.integers(16, 300))
     step = draw(st.sampled_from([1.0, 0.5, 1e6 / 256]))
     alphas = (np.arange(n) - draw(st.integers(0, n))) * step
-    return CyclicSpectrum(alphas, draw(values((n,))), draw(st.booleans()))
+    conjugate = draw(st.booleans())
+    eigenvalues = draw(st.lists(st.floats(0.01, 100.0), min_size=1, max_size=5))
+    n_samples = draw(st.sampled_from([32, 256, 2048]))
+    root = reference_root_threshold(alphas, conjugate, eigenvalues, n_samples)
+    levels = arrays(float, (n,), elements=st.sampled_from([0.0, 0.5, 1.0, 1.0, 1.5, 8.0]))
+    spec = CyclicSpectrum(alphas, draw(levels) * root, conjugate)
+    return spec, eigenvalues, n_samples
 
 
 @st.composite
@@ -114,9 +134,9 @@ def skymaps(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(spec=spectra())
-def test_spectrum_peaks_match_reference(spec):
-    assert detect_cyclic_freqs(spec) == reference_detect(spec)
+@given(inputs=detector_inputs())
+def test_spectrum_peaks_match_reference(inputs):
+    assert detect_cyclic_freqs(*inputs) == reference_detect(*inputs)
 
 
 @settings(max_examples=300, deadline=None)
