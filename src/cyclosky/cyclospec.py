@@ -54,6 +54,9 @@ SIGNAL_EDGE = 1.5
 # (1.18 at 12 antennas); a strong BPSK at twice its carrier gives about 1.27
 # times it at 48 x 256, where a fixed 3 sqrt(M/N) would be 1.67 times it.
 SOURCE_EDGE = 1.1
+# Cap on the tail evaluations of one `null_threshold` root search; it takes
+# about five.
+_THRESHOLD_STEPS = 100
 # Directions of R^0 below this fraction of its largest eigenvalue hold
 # rounding error only and are not whitened.
 _WHITEN_FLOOR = 1e-12
@@ -285,16 +288,23 @@ def cyclic_spectrum(snap: ArraySnapshot, alphas, conjugate=False,
 
 
 def _local_maxima(values, valid, threshold):
-    """Indices of the strict local maxima of an n-D array above `threshold`;
-    invalid entries and the edges are -inf neighbours."""
+    """Indices of the local maxima of an n-D array above `threshold`: entries
+    above each neighbour before them in C order and not below each one
+    after, so that a plateau of two keeps its first entry. Invalid entries
+    and the edges are -inf neighbours."""
     padded = np.pad(np.where(valid, values, -np.inf), 1, constant_values=-np.inf)
-    center = padded[(slice(1, -1),) * values.ndim]
-    neighbours = np.full(values.shape, -np.inf)
+    middle = (1,) * values.ndim
+    center = padded[tuple(slice(1, -1) for _ in middle)]
+    before = np.full(values.shape, -np.inf)
+    after = np.full(values.shape, -np.inf)
     for shift in np.ndindex((3,) * values.ndim):
-        if shift != (1,) * values.ndim:
-            neighbours = np.maximum(neighbours, padded[tuple(
-                slice(s, s + n) for s, n in zip(shift, values.shape))])
-    return np.nonzero((center > neighbours) & (center > threshold))
+        if shift != middle:
+            neighbour = padded[tuple(slice(s, s + n) for s, n in zip(shift, values.shape))]
+            if shift < middle:
+                before = np.maximum(before, neighbour)
+            else:
+                after = np.maximum(after, neighbour)
+    return np.nonzero((center > before) & (center >= after) & (center > threshold))
 
 
 def signal_subspace(r0, n_samples):
@@ -312,9 +322,9 @@ def signal_subspace(r0, n_samples):
 
 
 def _lugannani_rice(weights, s):
-    """(x, P(X > x)) at the saddlepoint s in (0, 1) of X = sum_k w_k E_k,
-    E_k unit exponentials, max w_k = 1: x = K'(s) for the cumulant generating
-    function K(s) = -sum_k log(1 - w_k s)."""
+    """(x, K''(s), P(X > x)) at the saddlepoint s in (0, 1) of
+    X = sum_k w_k E_k, E_k unit exponentials, max w_k = 1: x = K'(s) for the
+    cumulant generating function K(s) = -sum_k log(1 - w_k s)."""
     ws = weights * s
     d = weights / (1.0 - ws)
     x = float(np.sum(d))
@@ -322,9 +332,11 @@ def _lugannani_rice(weights, s):
     # s x - K(s) > 0 for s > 0; s >= 2^-34 in `null_threshold` keeps it
     # well above its rounding error.
     w_hat = math.sqrt(2.0 * (s * x - k))
-    u_hat = s * math.sqrt(float(np.dot(d, d)))
+    curvature = float(np.dot(d, d))
+    u_hat = s * math.sqrt(curvature)
     density = math.exp(-0.5 * w_hat * w_hat) / math.sqrt(2.0 * math.pi)
-    return x, 0.5 * math.erfc(w_hat / math.sqrt(2.0)) + density * (1.0 / u_hat - 1.0 / w_hat)
+    return x, curvature, (0.5 * math.erfc(w_hat / math.sqrt(2.0))
+                          + density * (1.0 / u_hat - 1.0 / w_hat))
 
 
 def null_threshold(eigenvalues, n_samples, conjugate, pfa):
@@ -335,7 +347,15 @@ def null_threshold(eigenvalues, n_samples, conjugate, pfa):
     The statistic is then sum_k w_k E_k over unit exponentials E_k, with
     weights lambda_i lambda_j / N over all (i, j), or 2 lambda_i lambda_j / N
     over i <= j for the conjugate scan. The tail is the Lugannani-Rice
-    saddlepoint approximation, inverted by bisection on the saddlepoint.
+    saddlepoint approximation. Its log falls about linearly in
+    y = 1 / (1 - s), s the saddlepoint (x = y for a single weight), so the
+    root is found by secant steps on log P - log pfa in y. The first y is
+    x / E[X] at the Wilson-Hilferty quantile of the Gamma law with X's mean
+    and variance; the first step is a Newton step on the saddlepoint slope
+    d log P / dx ~ -s, with dx / dy = K''(s) / y^2. A step that leaves the
+    bracket of the root halves the bracket instead, or doubles y while the
+    bracket has no upper end. About five tail evaluations give x to 1e-12
+    relative.
     """
     if not 0.0 < pfa < 0.5:
         raise ValueError(f"pfa must lie in (0, 0.5), not {pfa}")
@@ -349,14 +369,31 @@ def null_threshold(eigenvalues, n_samples, conjugate, pfa):
         weights, scale = v[i] * v[j], 2.0 * top * top / n_samples
     else:
         weights, scale = np.outer(v, v).ravel(), top * top / n_samples
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-10:  # x to about 1e-10 / (1 - s) relative
-        s = 0.5 * (lo + hi)
-        x, tail = _lugannani_rice(weights, s)
-        if tail > pfa:
-            lo = s
+    shape = float(np.sum(weights)) ** 2 / float(np.dot(weights, weights))
+    # The standard normal quantile at 1 - pfa, to its asymptotic expansion.
+    tail_log = -2.0 * math.log(pfa)
+    z = math.sqrt(max(tail_log - math.log(tail_log) - math.log(2.0 * math.pi), 0.0))
+    lo, hi = 1.0 + 2.0 ** -34, math.inf
+    y = max(max(1.0 - 1.0 / (9.0 * shape) + z / (3.0 * math.sqrt(shape)), 0.0) ** 3, lo)
+    last = None
+    for _ in range(_THRESHOLD_STEPS):
+        s = (y - 1.0) / y
+        x, curvature, tail = _lugannani_rice(weights, s)
+        g = math.log(tail / pfa) if tail > 0.0 else -math.inf
+        if g > 0.0:
+            lo = y
         else:
-            hi = s
+            hi = y
+        if last is None:
+            step = g * y * y / (s * curvature)
+        else:
+            step = -g * (y - last[0]) / (g - last[1]) if g != last[1] else 0.0
+        if abs(step) <= 1e-12 * y:
+            break
+        last = y, g
+        y += step
+        if not lo < y < hi:  # NaN fails this too
+            y = 0.5 * (lo + hi) if hi < math.inf else 2.0 * last[0]
     return scale * x
 
 

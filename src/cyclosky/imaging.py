@@ -7,8 +7,11 @@ as a peak of height ~= its power.
 
 Maps are formed in the baseline domain: a^H R b is a sum over antenna
 pairs, and on the regular (l, m) grid each pair's phase is an l factor times
-an m factor. Each map is thus one matrix product of per-pixel-row pair
-weights with per-axis phase tables that are cached per (geometry, grid).
+an m factor. Each per-axis phase table is band-limited in the pair
+coordinate, so it factors through its values at a few Chebyshev points of
+that coordinate (after Ruiz-Antolin & Townsend, SIAM J. Sci. Comput. 2018).
+A map is thus a small core product over pairs between two such factors,
+cached per (geometry, grid).
 """
 
 from dataclasses import dataclass
@@ -66,27 +69,82 @@ class Skymap:
 # times the largest magnitude of that form on the grid.
 MAP_MATCH_RTOL = 1e-12
 
-# The one (geometry, grid) operator in use: key -> pair tables and the
-# visibility mask (see `_operator`). Every map of a run shares it; a single
-# entry bounds the memory to one operator, about 16 * M^2 * (n_l + n_m) bytes.
+# Largest error bound accepted for the Chebyshev interpolant of a pair phase,
+# relative to the phase's unit magnitude (`_node_count`).
+_PHASE_TOL = 1e-16
+
+# The one (geometry, grid) operator in use: key -> per-axis pair factors and
+# the visibility mask (see `_operator`). Every map of a run shares it; a
+# single entry bounds the memory to one operator.
 _operator_cache = {}
 
 
+def _node_count(omega, limit):
+    """Smallest K >= 2 whose Chebyshev interpolant of exp(i omega t) on
+    [-1, 1] has its a-priori error bound below _PHASE_TOL, or `limit` if no
+    K < limit does.
+
+    The Chebyshev coefficients of exp(i omega t) are 2 i^k J_k(omega), with
+    |J_k(omega)| <= (omega / 2)^k / k!, and the interpolant in K points errs
+    by at most twice the sum of the coefficients it drops (Trefethen,
+    "Approximation Theory and Approximation Practice", Thm. 4.2): at most
+    4 sum_{k >= K} (omega / 2)^k / k!, whose terms fall from the first one
+    on by the ratio q = omega / (2K + 2) or less. A term beyond the float
+    range stays infinite, so the count is then `limit`.
+    """
+    term = 1.0
+    for k in range(1, limit):
+        term *= omega / (2.0 * k)
+        q = omega / (2.0 * k + 2.0)
+        if k >= 2 and q < 1.0 and 4.0 * term < (1.0 - q) * _PHASE_TOL:
+            return k
+    return limit
+
+
+def _axis_factor(axis, s, kappa):
+    """(U, W) with U @ W.T = the pair-phase table exp(i kappa axis[:, None] s)
+    to rounding error: U (n x K) holds the phases at K Chebyshev points of
+    the range of s, and W (B x K, real) the barycentric Lagrange weights of
+    each s_p at those points (Berrut & Trefethen, SIAM Rev. 2004). K comes
+    from `_node_count`; where it would reach the n pixels of the axis, the
+    table is its own factor, U = I and W = the table, transposed.
+    """
+    center = 0.5 * (s.max() + s.min())
+    half = 0.5 * (s.max() - s.min())
+    k = _node_count(kappa * np.abs(axis).max() * half, len(axis))
+    if k == len(axis):
+        return np.eye(k), np.exp(1j * kappa * s[:, None] * axis)
+    # Chebyshev points of the second kind, cos(j pi / (K - 1)), in the
+    # scaled pair coordinate t = (s - center) / half, and their weights.
+    nodes = np.cos(np.pi * np.arange(k) / (k - 1))
+    node_weights = (-1.0) ** np.arange(k)
+    node_weights[[0, -1]] *= 0.5
+    t = np.clip((s - center) / half, -1.0, 1.0) if half > 0 else np.zeros_like(s)
+    # A pair on a node takes that node's value alone.
+    on_node = np.isin(t, nodes)
+    gap = t[:, None] - nodes
+    gap[on_node] = 1.0
+    w = node_weights / gap
+    w[on_node] = t[on_node, None] == nodes
+    w /= w.sum(axis=1, keepdims=True)
+    return np.exp(1j * kappa * axis[:, None] * (center + half * nodes)), w
+
+
 def _operator(geom: ArrayGeometry, grid: SkymapGrid):
-    """Per-axis phase tables over antenna pairs, built once per (geometry,
+    """Per-axis factors of the pair-phase tables, built once per (geometry,
     grid) value. The arrays are read-only because they are shared by every
     map with the same key.
 
     With kappa = 2 pi f0 / c and a_n = exp(-i kappa (x_n l + y_n m)), a pair's
-    phase over the grid is an l factor times an m factor:
+    phase over the grid is an l factor times an m factor, and each factor is
+    a table T[l, p] = exp(i kappa l s_p) over the pair coordinates s_p:
 
-    - diff_l (n_l x B', complex) and diff_m (2B' x n_m, real) hold
-      conj(a_n) a_m = exp(i kappa (x_n - x_m) l) exp(i kappa (y_n - y_m) m)
-      for the B' = M(M-1)/2 pairs n < m; diff_m interleaves the rows
-      cos and -sin of each pair's m phase, to meet diff_l viewed as
-      interleaved (real, imag) floats;
-    - sum_l (n_l x B'') and sum_m (B'' x n_m) hold conj(a_n) conj(a_m), the
-      same with x_n + x_m and y_n + y_m, for the B'' = M(M+1)/2 pairs n <= m.
+    - diff_l and diff_m hold conj(a_n) a_m = exp(i kappa (x_n - x_m) l)
+      exp(i kappa (y_n - y_m) m) for the B' = M(M-1)/2 pairs n < m;
+    - sum_l and sum_m hold conj(a_n) conj(a_m), the same with x_n + x_m and
+      y_n + y_m, for the B'' = M(M+1)/2 pairs n <= m.
+
+    Each is a pair (U, W) from `_axis_factor` with T = U W^T.
     """
     key = (np.asarray(geom.positions, dtype=float).tobytes(), geom.f0,
            grid.l_min, grid.l_max, grid.m_min, grid.m_max, grid.n_l, grid.n_m)
@@ -95,50 +153,61 @@ def _operator(geom: ArrayGeometry, grid: SkymapGrid):
         # Free the old operator first, so that two never coexist.
         _operator_cache.clear()
         kappa = 2.0 * np.pi * geom.f0 / C_LIGHT
-        l = grid.l_axis()[:, None]
-        m = grid.m_axis()[None, :]
+        l, m = grid.l_axis(), grid.m_axis()
         x, y = geom.positions[:, 0], geom.positions[:, 1]
         n, k = np.triu_indices(geom.n_antennas, 1)
-        diff_l = np.exp(1j * kappa * l * (x[n] - x[k]))
-        rows = np.exp(1j * kappa * (y[n] - y[k])[:, None] * m)
-        diff_m = np.stack((rows.real, -rows.imag), axis=1).reshape(-1, grid.n_m)
+        diff_l = _axis_factor(l, x[n] - x[k], kappa)
+        diff_m = _axis_factor(m, y[n] - y[k], kappa)
         n, k = np.triu_indices(geom.n_antennas)
-        sum_l = np.exp(1j * kappa * l * (x[n] + x[k]))
-        sum_m = np.exp(1j * kappa * (y[n] + y[k])[:, None] * m)
+        sum_l = _axis_factor(l, x[n] + x[k], kappa)
+        sum_m = _axis_factor(m, y[n] + y[k], kappa)
         op = (diff_l, diff_m, sum_l, sum_m, grid.mask())
-        for arr in op:
+        for arr in (*diff_l, *diff_m, *sum_l, *sum_m, op[-1]):
             arr.flags.writeable = False
         _operator_cache[key] = op
     return op
 
 
+def _pair_map(factor_l, factor_m, weights):
+    """sum_p w_p T_l[:, p] T_m[:, p]^T for each row w of `weights`, shaped
+    (rows, n_l, n_m): U_l (W_l^T diag(w) W_m) U_m^T. With W_l real the core
+    is one real product, W_l^T (K_l x B) against diag(w) W_m (B x K_m)
+    viewed as interleaved floats.
+    """
+    (u_l, w_l), (u_m, w_m) = factor_l, factor_m
+    right = weights[:, :, None] * w_m
+    if np.isrealobj(w_l):
+        core = (w_l.T @ right.view(np.float64)).view(np.complex128)
+    else:
+        core = w_l.T @ right
+    return u_l @ core @ u_m.T
+
+
 def _quadratic_form(values, geom: ArrayGeometry, grid: SkymapGrid, kind):
     """a^H R b on the (n_l, n_m) grid, with b = conj(a) for the conjugate
-    cyclic kind and b = a otherwise, as one matrix product over antenna pairs;
-    only the real part for the classical kind. Also returns the visibility
-    mask.
+    cyclic kind and b = a otherwise, as a product over antenna pairs; only
+    the real part for the classical kind. Also returns the visibility mask.
 
     The pair folds are exact for any R, symmetric or not. Over a pair n < m,
-    R_nm D + R_mn conj(D) with D = conj(a_n) a_m has the real part
-    Re(w D), w = R_nm + conj(R_mn), and the imaginary part Re(w' D),
-    w' = -i (R_nm - conj(R_mn)); conjugate maps weight conj(a_n) conj(a_m)
-    by R_nm + R_mn, and the pair n = m by R_nn.
+    R_nm D + R_mn conj(D) with D = conj(a_n) a_m is u D + conj(v D) with
+    u = R_nm and v = conj(R_mn), whose real part is Re((u + v) D); conjugate
+    maps weight conj(a_n) conj(a_m) by R_nm + R_mn, and the pair n = m by
+    R_nn.
     """
     diff_l, diff_m, sum_l, sum_m, visible = _operator(geom, grid)
     if kind == KIND_CONJ_CYCLIC:
         folded = values + values.T
         np.fill_diagonal(folded, values.diagonal())
-        return (folded[np.triu_indices(len(values))] * sum_l) @ sum_m, visible
+        pairs = folded[np.triu_indices(len(values))]
+        return _pair_map(sum_l, sum_m, pairs[None])[0], visible
     n, k = np.triu_indices(len(values), 1)
     upper, lower = values[n, k], values[k, n].conj()
     trace = np.trace(values)
     if kind == KIND_CLASSICAL:
-        left = ((upper + lower) * diff_l).view(np.float64)
-        return left @ diff_m + trace.real, visible
-    weights = np.stack((upper + lower, -1j * (upper - lower)))[:, None, :]
-    left = (weights * diff_l).view(np.float64).reshape(2 * grid.n_l, -1)
-    re, im = np.split(left @ diff_m, 2)
-    return (re + trace.real) + 1j * (im + trace.imag), visible
+        form = _pair_map(diff_l, diff_m, (upper + lower)[None])[0]
+        return form.real + trace.real, visible
+    up, low = _pair_map(diff_l, diff_m, np.stack((upper, lower)))
+    return up + low.conj() + trace, visible
 
 
 def skymap(r_matrix, geom: ArrayGeometry, grid: SkymapGrid) -> Skymap:

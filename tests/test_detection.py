@@ -4,8 +4,9 @@ the source count.
 The null of ||R^alpha||_F^2 is a weighted sum of unit exponentials with
 weights set by the eigenvalues of R^0; `null_threshold` inverts its
 Lugannani-Rice tail. These tests hold that tail to exact and Monte Carlo
-tails, the threshold to the false-alarm share of stationary scenes, and the
-subspace scan to the full scan's sensitivity.
+tails, its root search to the bisection it replaced in at most 10 tail
+evaluations, the threshold to the false-alarm share of stationary scenes,
+and the subspace scan to the full scan's sensitivity.
 """
 
 import math
@@ -14,14 +15,17 @@ import warnings
 import numpy as np
 import pytest
 
+from cyclosky import cyclospec
 from cyclosky.arraysim import (ArraySnapshot, DirectionLM, Scene, SourceSpec,
                                default_geometry, synthesize)
-from cyclosky.cyclospec import (corr_matrix, cyclic_corr_matrix,
+from cyclosky.cyclospec import (SCAN_PFA, corr_matrix, cyclic_corr_matrix,
                                 cyclic_spectrum, detect_cyclic_freqs, fft_alpha_grid,
                                 null_threshold, signal_subspace, source_count)
 
 FS = 1e6
 ASTRO = SourceSpec("astro", 5.0, DirectionLM(-0.35, 0.2))
+SECOND_BPSK = SourceSpec("bpsk", 3.0, DirectionLM(-0.2, 0.5),
+                         baud_rate=FS / 16, carrier_offset=FS / 16)
 
 
 def bpsk(snr_db):
@@ -46,6 +50,43 @@ def weights(lam, n, conjugate):
         i, j = np.triu_indices(len(lam))
         return 2.0 * lam[i] * lam[j] / n
     return np.outer(lam, lam).ravel() / n
+
+
+def bisection_threshold(eigenvalues, n, conjugate, pfa):
+    """The threshold by the bisection on the saddlepoint s that
+    `null_threshold` used before its secant steps."""
+    lam = np.asarray(eigenvalues, dtype=float)
+    top = lam.max()
+    v = lam / top
+    if conjugate:
+        i, j = np.triu_indices(len(v))
+        w, scale = v[i] * v[j], 2.0 * top * top / n
+    else:
+        w, scale = np.outer(v, v).ravel(), top * top / n
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-10:
+        s = 0.5 * (lo + hi)
+        x, _, tail = cyclospec._lugannani_rice(w, s)
+        if tail > pfa:
+            lo = s
+        else:
+            hi = s
+    return scale * x
+
+
+def counted_threshold(monkeypatch, *args):
+    """`null_threshold(*args)` and its count of tail evaluations."""
+    calls = []
+    tail = cyclospec._lugannani_rice
+
+    def counted(*a):
+        calls.append(a)
+        return tail(*a)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(cyclospec, "_lugannani_rice", counted)
+        x = null_threshold(*args)
+    return x, len(calls)
 
 
 class TestNullThreshold:
@@ -90,6 +131,32 @@ class TestNullThreshold:
         mean = float(np.sum(weights(lam, 2048, conjugate)))
         assert math.isfinite(x) and x > 0
         assert x > mean or pfa > 0.1
+
+    @pytest.mark.parametrize("r", [1, 2, 4])
+    @pytest.mark.parametrize("conjugate", [False, True])
+    @pytest.mark.parametrize("pfa", [1e-2, 1e-4, 1e-7])
+    def test_matches_bisection_in_few_evaluations(self, r, conjugate, pfa, monkeypatch):
+        # The Gamma cases of `test_equal_eigenvalues_match_gamma_tail`.
+        lam = np.full(r, 1.5)
+        x, evaluations = counted_threshold(monkeypatch, lam, 1000, conjugate, pfa)
+        assert x == pytest.approx(bisection_threshold(lam, 1000, conjugate, pfa), rel=1e-9)
+        assert evaluations <= 10
+
+    def test_few_evaluations_per_pipeline_scan(self, monkeypatch):
+        """Each scan's threshold as `detect_cyclic_freqs` sets it, on the
+        signal subspaces of scenes with one to three strong directions."""
+        counts = []
+        for seed in range(4):
+            for sources in ([ASTRO], [bpsk(0.0), ASTRO], [bpsk(0.0), ASTRO, SECOND_BPSK]):
+                lam, _, rank, proj = subspace(scene(sources, seed, n=256))
+                for conjugate in (False, True):
+                    bins = len(fft_alpha_grid(proj, conjugate)) - (not conjugate)
+                    x, evaluations = counted_threshold(
+                        monkeypatch, lam[:rank], 256, conjugate, SCAN_PFA / bins)
+                    assert x == pytest.approx(bisection_threshold(
+                        lam[:rank], 256, conjugate, SCAN_PFA / bins), rel=1e-8)
+                    counts.append(evaluations)
+        assert max(counts) <= 10
 
     def test_single_weight_is_an_exponential_quantile(self):
         # r = 1: X = (lambda^2 / N) E, P(X > x) = exp(-x N / lambda^2).

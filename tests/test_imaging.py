@@ -182,15 +182,21 @@ class TestOperatorCache:
         assert np.array_equal(after, rebuilt_map(matrix, rebuilt, grid))
         assert_matches_direct(after, matrix, rebuilt, grid)
 
-    def test_one_read_only_entry(self, geom, grid):
-        op = imaging._operator(geom, grid)
-        assert imaging._operator(geom, grid) is op
-        for arr in op:
-            assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            op[0][0, 0] = 0.0
-        imaging._operator(default_geometry(16, 1.42e9, seed=3), grid)
-        assert len(imaging._operator_cache) == 1
+    def test_one_read_only_entry(self, geom):
+        # On 64 pixels each axis keeps its exact table; on 128 it is factored.
+        for n in (64, 128):
+            grid = SkymapGrid(n_l=n, n_m=n)
+            op = imaging._operator(geom, grid)
+            assert imaging._operator(geom, grid) is op
+            *factors, visible = op
+            arrays = [arr for factor in factors for arr in factor] + [visible]
+            assert len(arrays) == 9
+            for arr in arrays:
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0, 0] = 0
+            imaging._operator(default_geometry(16, 1.42e9, seed=3), grid)
+            assert len(imaging._operator_cache) == 1
 
 
 @st.composite
@@ -232,6 +238,99 @@ class TestPairTables:
             assert (np.abs(any_map(matrix, geom, grid)
                            - fresh_map(matrix, geom, grid)).max()
                     <= imaging.MAP_MATCH_RTOL * scale)
+
+
+def node_counts(geom, grid):
+    """Columns of U for diff_l, diff_m, sum_l and sum_m."""
+    return [u.shape[1] for u, _ in imaging._operator(geom, grid)[:4]]
+
+
+def assert_all_kinds_match_direct(geom, grid, seed=5):
+    for matrix in random_matrices(geom.n_antennas, seed):
+        assert_matches_direct(rebuilt_map(matrix, geom, grid), matrix, geom, grid)
+
+
+FIG4_GEOMETRY = default_geometry(48, 1.42e9, 42, aperture_wavelengths=6.0)
+
+
+class TestFactoredTables:
+    """Pair tables factored at Chebyshev points, U W^T, against the direct
+    form: at pipeline scale, on degenerate pair ranges and on a grid that
+    factors one axis and keeps the exact table on the other."""
+
+    def test_fig4_scale(self):
+        grid = SkymapGrid(n_l=128, n_m=128)
+        assert_all_kinds_match_direct(FIG4_GEOMETRY, grid)
+        assert all(40 < k < 100 for k in node_counts(FIG4_GEOMETRY, grid))
+
+    def test_fig4_scale_point_source(self):
+        # A point source at fig4's BPSK direction reads its power there.
+        grid = SkymapGrid(n_l=128, n_m=128)
+        d = DirectionLM(grid.l_axis()[89], grid.m_axis()[44])
+        smap = skymap(point_source_cov(FIG4_GEOMETRY, d), FIG4_GEOMETRY, grid)
+        assert smap.power[89, 44] == pytest.approx(1.0, abs=1e-12)
+        assert np.unravel_index(np.argmax(smap.power), smap.power.shape) == (89, 44)
+
+    def test_mixed_grid(self):
+        grid = SkymapGrid(-0.9, 0.8, -0.5, 0.7, 128, 16)
+        assert_all_kinds_match_direct(FIG4_GEOMETRY, grid)
+        k_l, k_m = node_counts(FIG4_GEOMETRY, grid)[:2]
+        assert k_l < 128 and k_m == 16
+        (u_m, w_m) = imaging._operator(FIG4_GEOMETRY, grid)[1]
+        assert np.array_equal(u_m, np.eye(16)) and np.iscomplexobj(w_m)
+
+    @pytest.mark.parametrize("positions", [
+        [(0.0, 0.0), (0.5, -0.25)],                                  # two antennas
+        [(0.05 * i - 0.2, 0.3) for i in range(9)],                    # east-west line
+        [(x, 0.05 * i - 0.2) for i, x in enumerate([-0.2, 0.0, 0.1] * 3)],  # repeated x
+    ], ids=["two", "east_west", "repeated_x"])
+    def test_degenerate_pair_ranges(self, positions):
+        geom = ArrayGeometry(np.array(positions), 1.42e9)
+        grid = SkymapGrid(-0.8, 0.9, -1.0, 0.6, 48, 40)
+        assert_all_kinds_match_direct(geom, grid)
+        counts = node_counts(geom, grid)
+        assert counts[0] < 48 and counts[2] < 48
+        if np.ptp(geom.positions[:, 1]) == 0:
+            # Every y-difference is 0 and every y-sum the same: two points.
+            assert counts[1] == counts[3] == 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(positions=st.integers(2, 12).flatmap(lambda m: st.lists(
+               st.tuples(st.floats(-0.4, 0.4), st.floats(-0.4, 0.4)),
+               min_size=m, max_size=m, unique=True)),
+           n_l=st.integers(2, 64), n_m=st.integers(2, 64),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_compact_arrays_match_direct_form(self, positions, n_l, n_m, seed):
+        """Arrays within 0.8 m, about 4 wavelengths, on grids of up to 64
+        pixels per axis: each axis factored or exact, as its node count
+        decides."""
+        geom = ArrayGeometry(np.array(positions), 1.42e9)
+        grid = SkymapGrid(n_l=n_l, n_m=n_m)
+        for matrix in random_matrices(geom.n_antennas, seed):
+            scale = np.abs(direct_form(matrix, geom, grid)).max() / geom.n_antennas ** 2
+            assert (np.abs(any_map(matrix, geom, grid) - fresh_map(matrix, geom, grid)).max()
+                    <= imaging.MAP_MATCH_RTOL * scale)
+
+
+class TestNodeCount:
+    def test_constant_phase_needs_two_points(self):
+        assert imaging._node_count(0.0, 100) == 2
+
+    def test_grows_with_frequency_and_stops_at_the_limit(self):
+        counts = [imaging._node_count(w, 1000) for w in (1.0, 10.0, 40.0, 100.0)]
+        assert counts == sorted(counts) and counts[-1] < 1000
+        assert imaging._node_count(40.0, 30) == 30
+        assert imaging._node_count(1e4, 500) == 500
+
+    @pytest.mark.parametrize("omega", [0.5, 5.0, 37.7])
+    def test_interpolant_meets_the_bound(self, omega):
+        # The factor of exp(i a t) for |a| <= omega on [-1, 1], checked off
+        # the nodes.
+        axis = np.linspace(-omega, omega, 201)
+        t = np.linspace(-1.0, 1.0, 1001)
+        u, w = imaging._axis_factor(axis, t, 1.0)
+        assert u.shape == (201, imaging._node_count(omega, 201))
+        assert np.abs(u @ w.T - np.exp(1j * np.outer(axis, t))).max() < 1e-14
 
 
 class TestLocatePeaks:

@@ -1,18 +1,21 @@
 """The shared peak rule against loop references.
 
 `reference_detect` is the α-scan detector written as a loop over bins: a
-strict local maximum above the stationary-null threshold (`null_threshold`
-at the scan's false-alarm rate split over its eligible bins), with the
+local maximum above the stationary-null threshold (`null_threshold` at the
+scan's false-alarm rate split over its eligible bins), with the
 non-conjugate α = 0 bin excluded. `reference_locate` is the former body of
-`locate_peaks` (an 8-shift loop over a padded map). Both finders must return
+`locate_peaks` (an 8-shift loop over a padded map). Both keep an entry that
+is above each neighbour before it in C order and not below each one after
+it, so a plateau of two keeps its first entry. Both finders must return
 exactly what their references return. Inputs from a few levels, one of them
-the threshold itself, make plateaus and ties common, so a strict comparison
-turned non-strict shows.
+the threshold itself, make plateaus and ties common, so a comparison
+turned the wrong way round shows.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -41,7 +44,7 @@ def reference_detect(spec, eigenvalues, n_samples):
     for i in range(mags.size):
         left = mags[i - 1] if i > 0 else -np.inf
         right = mags[i + 1] if i < mags.size - 1 else -np.inf
-        if mags[i] <= threshold or mags[i] <= left or mags[i] <= right:
+        if mags[i] <= threshold or mags[i] <= left or mags[i] < right:
             continue
         if not spec.conjugate and abs(alphas[i]) < 0.5 * step:
             continue
@@ -65,14 +68,18 @@ def reference_locate(smap, max_peaks):
     padded = np.full((n_l + 2, n_m + 2), -np.inf)
     padded[1:-1, 1:-1] = np.where(mask, power, -np.inf)
     center = padded[1:-1, 1:-1]
-    neighborhood = np.full(power.shape, -np.inf)
+    before = np.full(power.shape, -np.inf)
+    after = np.full(power.shape, -np.inf)
     for di in (-1, 0, 1):
         for dj in (-1, 0, 1):
             if di == 0 and dj == 0:
                 continue
             shifted = padded[1 + di:n_l + 1 + di, 1 + dj:n_m + 1 + dj]
-            neighborhood = np.maximum(neighborhood, shifted)
-    is_peak = mask & (center > neighborhood) & (center > threshold)
+            if (di, dj) < (0, 0):
+                before = np.maximum(before, shifted)
+            else:
+                after = np.maximum(after, shifted)
+    is_peak = mask & (center > before) & (center >= after) & (center > threshold)
     l_axis = smap.grid.l_axis()
     m_axis = smap.grid.m_axis()
     dl = l_axis[1] - l_axis[0]
@@ -143,3 +150,28 @@ def test_spectrum_peaks_match_reference(inputs):
 @given(smap=skymaps(), max_peaks=st.integers(1, 6))
 def test_map_peaks_match_reference(smap, max_peaks):
     assert locate_peaks(smap, max_peaks) == reference_locate(smap, max_peaks)
+
+
+def test_map_plateau_of_two_keeps_one_peak():
+    # Two equal pixels, neighbours in l, on a flat low map: one peak, at the
+    # first pixel refined half a pixel towards the second.
+    grid = SkymapGrid(n_l=21, n_m=21)
+    power = np.where(grid.mask(), 1.0, 0.0)
+    power[10, 12] = power[11, 12] = 9.0
+    peaks = locate_peaks(Skymap(grid, power, "classical"), max_peaks=4)
+    assert len(peaks) == 1
+    direction, value = peaks[0]
+    dl = grid.l_axis()[1] - grid.l_axis()[0]
+    assert direction.l == pytest.approx(grid.l_axis()[10] + 0.5 * dl, abs=1e-12)
+    assert direction.m == pytest.approx(grid.m_axis()[12], abs=1e-12)
+    assert value >= 9.0
+
+
+@pytest.mark.parametrize("conjugate", [False, True])
+def test_spectrum_plateau_of_two_keeps_one_hit(conjugate):
+    # Two equal bins far above the null threshold: one hit, the first bin.
+    alphas = np.arange(64) * 1e3
+    mags = np.full(64, 0.01)
+    mags[20] = mags[21] = 50.0
+    hits = detect_cyclic_freqs(CyclicSpectrum(alphas, mags, conjugate), [1.0, 0.5], 256)
+    assert hits == [(20e3, 50.0)]

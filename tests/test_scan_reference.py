@@ -2,7 +2,8 @@
 
 `reference_spectrum` is the former `method="fft"` body of `cyclic_spectrum`:
 one FFT call and one `einsum` per row, the rows added in order on one
-thread. The scan now splits each row's partners into blocks and deals the
+thread, with each row's products folded onto the grid's period first as
+`_row_powers` folds them (only the one-bin grids of N = 2 and 3 fold here). The scan now splits each row's partners into blocks and deals the
 rows out to threads; with the work threshold at 0 and 2 or 3 threads it
 must still return the same magnitudes bit for bit. (The scan uses at most
 `SCAN_THREADS` = 2; 3 checks the deal with more than one worker.)
@@ -30,8 +31,12 @@ from cyclosky.cyclospec import cyclic_spectrum, fft_alpha_grid
 def reference_power(z, zc, n):
     diag = np.zeros(2 * n)
     off = np.zeros(2 * n)
+    fold = z.shape[1] // n
     for row in range(z.shape[0]):
-        f = np.fft.fft(z[row] * zc[row:], axis=1).view(np.float64)
+        p = z[row] * zc[row:]
+        if fold > 1:
+            p = p.reshape(len(p), fold, n).sum(axis=1)
+        f = np.fft.fft(p, axis=1).view(np.float64)
         diag += f[0] * f[0]
         off += np.einsum("ij,ij->j", f[1:], f[1:])
     return diag, off
@@ -41,14 +46,16 @@ def reference_spectrum(snap, conjugate):
     z = snap.data
     n = snap.n_samples
     bins = cyclospec._as_fft_bins(fft_alpha_grid(snap, conjugate), snap.sample_rate, n)
+    d = int(np.gcd.reduce(bins, initial=n))
+    bins, period = bins // d, n // d
     zc = z if conjugate else z.conj()
-    diag, off = reference_power(z, zc, n)
+    diag, off = reference_power(z, zc, period)
     diag = diag[0::2] + diag[1::2]
     off = off[0::2] + off[1::2]
     if conjugate:
         power = diag[bins] + 2.0 * off[bins]
     else:
-        power = diag[bins] + off[bins] + off[(-bins) % n]
+        power = diag[bins] + off[bins] + off[(-bins) % period]
     return np.sqrt(power) / n
 
 
