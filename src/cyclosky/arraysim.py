@@ -30,8 +30,8 @@ class DirectionLM:
     m: float
 
     def __post_init__(self):
-        if self.l ** 2 + self.m ** 2 > 1.0 + 1e-12:
-            raise ValueError(f"direction ({self.l}, {self.m}) is outside the unit disk")
+        if not self.l ** 2 + self.m ** 2 <= 1.0 + 1e-12:  # NaN fails this too
+            raise ValueError(f"direction ({self.l}, {self.m}) is not on the unit disk")
 
     def distance(self, other) -> float:
         return float(np.hypot(self.l - other.l, self.m - other.m))

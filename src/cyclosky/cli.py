@@ -526,7 +526,10 @@ def build_parser():
 
 def main(argv=None) -> int:
     """Exit 0 on success, 2 on a scenario error, 3 on a runtime failure."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "skymap" and args.conjugate and args.alpha is None:
+        parser.error("skymap --conjugate needs --alpha; a classical map has no conjugate")
     try:
         cfg = load_scenario(args.config, getattr(args, "seed", None),
                             getattr(args, "mode", None))

@@ -13,8 +13,7 @@ whitened cyclic matrix (after Schell's cyclic MUSIC, 1989).
 
 import math
 import os
-import queue
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +30,11 @@ SCAN_THREADS = 2
 # alone. On a 2-core host a second thread made both scans of a 48 x 256 frame
 # (301k pair-samples) slower, 9.5-12.4 ms against 6.9-7.8 ms on one thread,
 # and a 48 x 4096 frame (4.8M) 1.7-1.9x faster (min of 40 each). Folded
-# scans are counted at their product length N too: 8 x 16384 and 8 x 65536
-# records at 16 alpha, both folded to 1024 points, took 51-57 ms on two
-# threads and 62 ms on one (min of 9, four record pairs).
+# scans are counted at their product length N too. The pipeline's subspace
+# scans stay below it (fig4 6,144 pair-samples, long_frames 12,288,
+# many_frames 2,560); the 8 x 16384 and 8 x 65536 records of criterion 4
+# (589,824 and 2,359,296) use the second thread: a perfbench null_sweep
+# operation took 68 ms on two threads and 84 ms on one (medians of 40).
 PARALLEL_MIN_PAIR_SAMPLES = 2 ** 19
 # Samples per FFT call of a scan row; bounds the memory each thread holds.
 _BLOCK_SAMPLES = 2 ** 16
@@ -195,48 +196,33 @@ def _scan_power(z, zc, n):
     summed over rows; the pair products are z.shape[1] long.
 
     Rows go round-robin to the calling thread (rows = 0 mod k) and k - 1
-    workers; each worker hands its rows over in order through its own queue,
-    and the caller adds every row in row order, so the sums do not depend on
-    k. Workers call numpy and `_row_powers` only.
+    pool workers, one residue each. Each row's powers are kept at its index
+    and added in row order once every worker is done, so the sums do not
+    depend on k. Workers call numpy and `_row_powers` only. A worker's
+    exception re-raises through its `result()`; if the caller's own row
+    raises, the workers first finish their rows (at most one scan's work).
     """
     m, samples = z.shape
     k = 1
     if m * (m + 1) // 2 * samples >= PARALLEL_MIN_PAIR_SAMPLES:
         k = min(_scan_threads(), m)
-    queues = {first: queue.SimpleQueue() for first in range(1, k)}
-    stop = threading.Event()
+    powers = [None] * m
 
     def work(first):
-        try:
-            for power in _row_powers(z, zc, range(first, m, k), n):
-                queues[first].put(power)
-                if stop.is_set():
-                    return
-        except BaseException as exc:
-            queues[first].put(exc)
+        rows = range(first, m, k)
+        for row, power in zip(rows, _row_powers(z, zc, rows, n)):
+            powers[row] = power
 
-    threads = []
-    own = _row_powers(z, zc, range(0, m, k), n)
+    with ThreadPoolExecutor(max(k - 1, 1)) as pool:
+        futures = [pool.submit(work, first) for first in range(1, k)]
+        work(0)
+        for future in futures:
+            future.result()
     diag = np.zeros(2 * n)
     off = np.zeros(2 * n)
-    try:
-        for first in range(1, k):
-            thread = threading.Thread(target=work, args=(first,))
-            thread.start()
-            threads.append(thread)
-        for row in range(m):
-            if row % k:
-                power = queues[row % k].get()
-                if isinstance(power, BaseException):
-                    raise power
-            else:
-                power = next(own)
-            diag += power[0]
-            off += power[1]
-    finally:
-        stop.set()
-        for thread in threads:
-            thread.join()
+    for row_diag, row_off in powers:
+        diag += row_diag
+        off += row_off
     return diag, off
 
 
@@ -258,6 +244,8 @@ def cyclic_spectrum(snap: ArraySnapshot, alphas, conjugate=False,
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     if alphas.size == 0:
         raise ValueError("alpha grid must be non-empty")
+    if not np.all(np.isfinite(alphas)):
+        raise ValueError(f"alpha must be finite, not {alphas[~np.isfinite(alphas)][0]}")
     if alphas.size > 1 and np.any(np.diff(alphas) <= 0):
         raise ValueError("alpha grid must be strictly increasing")
     z = snap.data

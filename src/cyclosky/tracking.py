@@ -229,9 +229,15 @@ def write_frame_log(record: dict, path):
 
 def tracks_from_record(record: dict):
     """Rebuild prediction-capable tracks from a frame log document; a track
-    of unknown class, or classified without model or stats, is a ValueError."""
+    of unknown class, classified without model or stats, or holding a
+    non-finite number (NaN, Infinity, or a literal such as 1e999) is a
+    ValueError."""
     tracks = []
     for rec in record["tracks"]:
+        try:
+            json.dumps([record["time"], rec], allow_nan=False)
+        except ValueError:
+            raise ValueError(f"track {rec['id']} holds a non-finite number") from None
         if rec["class"] not in (STATIONARY, SLOW, FAST, UNCLASSIFIED):
             raise ValueError(f"track {rec['id']} has unknown class {rec['class']!r}")
         for key in ("model", "stats"):

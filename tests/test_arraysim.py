@@ -19,6 +19,12 @@ class TestDirection:
     def test_boundary_allowed(self):
         DirectionLM(1.0, 0.0)
 
+    @pytest.mark.parametrize("l, m", [(np.nan, 0.0), (0.0, np.nan),
+                                      (np.inf, 0.0), (0.0, -np.inf)])
+    def test_rejects_non_finite(self, l, m):
+        with pytest.raises(ValueError, match="not on the unit disk"):
+            DirectionLM(l, m)
+
 
 class TestGeometry:
     def test_rejects_single_antenna(self):

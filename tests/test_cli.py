@@ -520,6 +520,15 @@ class TestSkymapCommand:
         assert "1 non-finite samples" in capsys.readouterr().err
         assert not (tmp_path / "sky" / "skymap.csv").exists()
 
+    def test_conjugate_without_alpha_is_usage_error(self, scenario, tmp_path, capsys):
+        # A classical map has no conjugate form; the flag was once ignored.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["skymap", "--config", str(scenario), "--snapshot", str(tmp_path),
+                  "--conjugate", "--out", str(tmp_path / "sky")])
+        assert excinfo.value.code == 2
+        assert "skymap --conjugate needs --alpha" in capsys.readouterr().err
+        assert not (tmp_path / "sky").exists()
+
     def test_nan_alpha_is_runtime_error(self, scenario, tmp_path, capsys):
         run_out = tmp_path / "run_out"
         assert main(["run", "--config", str(scenario), "--out", str(run_out)]) == 0
@@ -571,6 +580,11 @@ class TestScheduleCommand:
         ("null_model.json",
          lambda log: log["tracks"][0].update({"class": "slow", "model": None}),
          "but has no model"),
+        ("nan_power.json", lambda log: log["tracks"][0].update({"power": float("nan")}),
+         "holds a non-finite number"),
+        ("inf_rate.json",
+         lambda log: log["tracks"][0]["model"].update({"dl_dt": float("inf")}),
+         "holds a non-finite number"),
     ])
     def test_not_a_frame_log_is_runtime_error(self, scenario, tmp_path, capsys,
                                               name, edit, named):

@@ -208,6 +208,14 @@ class TestCyclicSpectrum:
         with pytest.raises(ValueError):
             cyclic_spectrum(snap, np.array([1.0, 1.0, 2.0]))
 
+    @pytest.mark.parametrize("method", ["fft", "direct"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_alpha(self, method, bad):
+        # NaN once passed the fft grid check and was read as bin 0.
+        snap = noise_snapshot(3, 64, seed=0)
+        with pytest.raises(ValueError, match=f"finite, not {bad}$"):
+            cyclic_spectrum(snap, [0.0, bad], method=method)
+
 
 def detect_full(spec, snap):
     """Hits of a full scan of `snap`, tested against the null of all M

@@ -15,6 +15,7 @@ reference with `einsum` replaced by an exactly rounded fused emulation.
 """
 
 import os
+import sys
 import threading
 from fractions import Fraction
 
@@ -103,6 +104,19 @@ def test_full_size_scan_matches_reference(conjugate, threads):
                           reference_spectrum(snap, conjugate))
 
 
+def test_many_threads_under_short_switch_interval():
+    # More threads than cores, switching every microsecond: a row lost or
+    # added out of order would change the bits.
+    snap = random_snapshot(24, 256, seed=5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        mags = threaded_spectrum(snap, False, threads=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(mags, reference_spectrum(snap, False))
+
+
 def fused_einsum(subscripts, a, b):
     """`np.einsum("ij,ij->j", a, b)` on a build whose loop fuses each
     multiply-add: out[j] = fma(a[i, j], b[i, j], out[j]) for i in order, each
@@ -141,14 +155,26 @@ def test_scan_threads_capped_at_measured_count(monkeypatch):
     assert cyclospec._scan_threads() == 1
 
 
-def row_threads(monkeypatch, snap):
+@pytest.mark.parametrize("cpus, threads", [(None, 1), (8, cyclospec.SCAN_THREADS)])
+def test_scan_threads_without_affinity_counts_cpus(monkeypatch, cpus, threads):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert cyclospec._scan_threads() == threads
+
+
+def row_threads(monkeypatch, snap, threads=1):
     """The thread that ran each row of one scan (objects, not idents, which
-    a finished thread may hand on)."""
+    a finished thread may hand on). Each residue waits at its first row
+    until `threads` have arrived, so a pool cannot hand two residues to one
+    idle worker."""
     seen = {}
     real = cyclospec._row_powers
+    first_rows = threading.Barrier(threads, timeout=30)
 
     def spy(z, zc, rows, n):
         for row, power in zip(rows, real(z, zc, rows, n)):
+            if row == rows[0]:
+                first_rows.wait()
             seen[row] = threading.current_thread()
             yield power
 
@@ -160,7 +186,7 @@ def row_threads(monkeypatch, snap):
 def test_rows_dealt_round_robin(monkeypatch):
     monkeypatch.setattr(cyclospec, "PARALLEL_MIN_PAIR_SAMPLES", 0)
     monkeypatch.setattr(cyclospec, "_scan_threads", lambda: 3)
-    seen = row_threads(monkeypatch, random_snapshot(7, 64, seed=1))
+    seen = row_threads(monkeypatch, random_snapshot(7, 64, seed=1), threads=3)
     assert sorted(seen) == list(range(7))
     assert {seen[r] for r in (0, 3, 6)} == {threading.main_thread()}
     assert len({seen[r] for r in range(7)}) == 3
@@ -203,15 +229,26 @@ def test_failed_thread_start_joins_started_workers(monkeypatch):
     monkeypatch.setattr(cyclospec, "_scan_threads", lambda: 3)
     error = RuntimeError("can't start new thread")
     real_start = threading.Thread.start
+    real_rows = cyclospec._row_powers
     starts = []
+    # The first worker holds its rows until the second start fails, so the
+    # pool cannot hand the second residue to it as an idle worker instead.
+    second_start = threading.Event()
 
     def start_once(thread):
         if starts:
+            second_start.set()
             raise error
         starts.append(thread)
         real_start(thread)
 
+    def held_rows(z, zc, rows, n):
+        if threading.current_thread() is not threading.main_thread():
+            assert second_start.wait(timeout=30)
+        yield from real_rows(z, zc, rows, n)
+
     monkeypatch.setattr(threading.Thread, "start", start_once)
+    monkeypatch.setattr(cyclospec, "_row_powers", held_rows)
     snap = random_snapshot(9, 128, seed=2)
     before = threading.active_count()
     with pytest.raises(RuntimeError) as excinfo:

@@ -231,3 +231,14 @@ class TestFrameLog:
         p_back = predict(rebuilt[0], 15.0)
         assert p_back.direction.l == pytest.approx(p_orig.direction.l, abs=1e-12)
         assert p_back.radius == pytest.approx(p_orig.radius, abs=1e-12)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    @pytest.mark.parametrize("field", ["power", "dl_dt", "position"])
+    def test_rebuild_rejects_non_finite_numbers(self, literal, field):
+        rec = linear_track(8, 0.1, 0.2, 2e-3, -1e-3).frame_record(7.0)["tracks"][0]
+        holder, key = {"power": (rec, "power"), "dl_dt": (rec["model"], "dl_dt"),
+                       "position": (rec["position"], 0)}[field]
+        holder[key] = "bad"
+        text = json.dumps({"time": 7.0, "tracks": [rec]}).replace('"bad"', literal)
+        with pytest.raises(ValueError, match=f"track {rec['id']} holds a non-finite"):
+            tracks_from_record(json.loads(text))
