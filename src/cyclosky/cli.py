@@ -67,7 +67,9 @@ SCHEMA = {
         "aperture_wavelengths": (float, 6.0, *POSITIVE),
         "positions_m": ([[float]], None),
         "reference_freq_hz": (float, REQUIRED, *POSITIVE),
-        "n_samples": (int, REQUIRED, *AT_LEAST_1),
+        # A frame of N samples has a non-conjugate alpha grid of N // 2
+        # points, and `detect_cyclic_freqs` needs 2.
+        "n_samples": (int, REQUIRED, lambda v: v >= 4, "must be >= 4"),
         "sample_rate_hz": (float, REQUIRED, *POSITIVE),
         "system_noise_power": (float, 1.0, *NON_NEGATIVE),
         "sources": (["source"], [])},
@@ -84,7 +86,7 @@ SCHEMA = {
     "trajectory": {
         "start": ("direction", REQUIRED),
         "rate": ([float], [0.0, 0.0], lambda v: len(v) == 2, "must be [dl_dt, dm_dt]")},
-    "frames": {"length": (int, None, *AT_LEAST_1)},
+    "frames": {"length": (int, None, lambda v: v >= 4, "must be >= 4")},
     "analysis": {
         "non_conjugate": (bool, True), "conjugate": (bool, True),
         "max_detections_per_frame": (int, 3, *NON_NEGATIVE),
@@ -261,6 +263,10 @@ class ScenarioConfig:
                    np.deg2rad(p["ra_deg"]), np.deg2rad(p["dec_deg"]),
                    (p["f_lo_hz"], p["f_hi_hz"]), p["duration_slots"], p["priority"])
             for i, p in enumerate(doc["programs"])]
+        ids = [p.id for p in self.programs]
+        for i, pid in enumerate(ids):
+            _require(pid not in ids[:i], f"programs[{i}].id",
+                     f"{pid} is also programs[{ids.index(pid)}].id")
 
         sched = doc["scheduler"]
         self.mode = mode_override or sched["mode"]
@@ -272,11 +278,18 @@ class ScenarioConfig:
             _require(len(self.programs) <= scheduling.EXACT_MAX_PROGRAMS,
                      "programs", "exact mode allows at most "
                      f"{scheduling.EXACT_MAX_PROGRAMS}, not {len(self.programs)}")
+        bands = {}
+        for i, band in enumerate(sched["rfi_bands"]):
+            path = f"scheduler.rfi_bands[{i}]"
+            # An inverted band overlaps nothing, so its risk would read 0.
+            _require(band["f_lo_hz"] < band["f_hi_hz"], path,
+                     "f_lo_hz must be below f_hi_hz")
+            _require(band["alpha_hz"] not in bands, path + ".alpha_hz",
+                     f"{band['alpha_hz']} is also an earlier band's alpha_hz")
+            bands[band["alpha_hz"]] = (band["f_lo_hz"], band["f_hi_hz"])
         self.sched_cfg = scheduling.SchedulerConfig(
             lam=sched["lambda"], risk_cap=sched["risk_cap"],
-            exclusion_radius=sched["exclusion_radius"],
-            bands={b["alpha_hz"]: (b["f_lo_hz"], b["f_hi_hz"])
-                   for b in sched["rfi_bands"]},
+            exclusion_radius=sched["exclusion_radius"], bands=bands,
             band_alpha_tol=alpha_tol)
         channels = sched["channels"]
         self.channels = None if channels is None else _build(

@@ -20,7 +20,7 @@ import numpy as np
 
 from .arraysim import ArraySnapshot
 
-# Direct-vs-FFT agreement contract for FFT scans, folded or not.
+# Agreement of FFT scans, folded or not, with the norm of `cyclic_corr_matrix`.
 FFT_MATCH_RTOL = 1e-10
 # Threads per large FFT scan, the caller included. Only this count has been
 # measured (2-core host); each worker thread also keeps about 5 MB of freed
@@ -155,14 +155,10 @@ def _row_powers(z, zc, rows, n):
     first folded onto period n, x_n[r] = sum_q x[r + qn], whose length-n DFT
     holds the length-N DFT's bins that are multiples of N / n.
 
-    The partners go through the FFT in blocks of N product samples, each
-    summed by the einsum of the former whole-row loop, whose per-bin sum is
-    a chain of multiply-adds (fused on some builds). A later block's einsum
-    takes the row's sum so far as an extra first row, times a row of ones,
-    which is exact fused or not; so the row's sum holds the same bits as one
-    einsum over the whole row. A row's last block is freed only after the
-    next row's first one is made, so the allocator reuses its pages instead
-    of returning them.
+    The partners go through the FFT in blocks of about _BLOCK_SAMPLES
+    product samples, and each later block's sum is added to the row's in
+    block order. A row's last block is freed only after the next row's first
+    one is made, so the allocator reuses its pages instead of returning them.
     """
     m, samples = z.shape
     fold = samples // n
@@ -173,21 +169,13 @@ def _row_powers(z, zc, rows, n):
             p = p.reshape(len(p), fold, n).sum(axis=1)
         return np.fft.fft(p, axis=1).view(np.float64)
 
-    if m > step:
-        # A later block's einsum operands: rows (acc, f) and (1, f).
-        left = np.empty((step + 1, 2 * n))
-        right = np.empty((step + 1, 2 * n))
-        right[0] = 1.0
     for row in rows:
         f = transform(z[row] * zc[row:row + step])
         diag = f[0] * f[0]
         acc = np.einsum("ij,ij->j", f[1:], f[1:])
         for start in range(row + step, m, step):
             f = transform(z[row] * zc[start:start + step])
-            k = len(f) + 1
-            left[0] = acc
-            left[1:k] = right[1:k] = f
-            acc = np.einsum("ij,ij->j", left[:k], right[:k])
+            acc += np.einsum("ij,ij->j", f, f)
         yield diag, acc
 
 
@@ -226,20 +214,19 @@ def _scan_power(z, zc, n):
     return diag, off
 
 
-def cyclic_spectrum(snap: ArraySnapshot, alphas, conjugate=False,
-                    method="fft") -> CyclicSpectrum:
+def cyclic_spectrum(snap: ArraySnapshot, alphas, conjugate=False) -> CyclicSpectrum:
     """Scan the Frobenius norm of the cyclic matrix over an alpha grid.
 
-    method="fft" requires the grid to sit on multiples of sample_rate/N and
-    matches the direct estimator to FFT_MATCH_RTOL. It transforms only the
-    pairs j >= i, M(M+1)/2 FFTs, because the rest follow by symmetry: with
+    The grid must sit on multiples of sample_rate/N, below sample_rate in
+    magnitude; each value matches the norm of `cyclic_corr_matrix` at its
+    alpha to FFT_MATCH_RTOL. The scan transforms only the pairs j >= i,
+    M(M+1)/2 FFTs, because the rest follow by symmetry: with
     F_ij = FFT(z_i z_j^*), the non-conjugate |R_ji| at bin k is |F_ij[-k]| / N;
     the conjugate matrix is symmetric, so |R_ji| = |R_ij|. The products are
     N samples long; when every requested bin is a multiple of d, the
     greatest common divisor of N and the bins, each is folded onto period
     N/d and transformed at that length (d = 1 for the full grids of
-    `fft_alpha_grid`). The result is still normalised by N. method="direct"
-    takes any grid at O(K M^2 N) for K alphas; it is the reference.
+    `fft_alpha_grid`). The result is still normalised by N.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     if alphas.size == 0:
@@ -250,28 +237,21 @@ def cyclic_spectrum(snap: ArraySnapshot, alphas, conjugate=False,
         raise ValueError("alpha grid must be strictly increasing")
     z = snap.data
     n = snap.n_samples
-    if method == "fft":
-        bins = _as_fft_bins(alphas, snap.sample_rate, n)
-        if bins is None:
-            raise ValueError("fft method needs alphas on the sample_rate/N grid")
-        d = int(np.gcd.reduce(bins, initial=n))
-        period = n // d
-        zc = z if conjugate else z.conj()
-        diag, off = _scan_power(z, zc, period)
-        diag = diag[0::2] + diag[1::2]
-        off = off[0::2] + off[1::2]
-        bins = bins // d
-        if conjugate:
-            power = diag[bins] + 2.0 * off[bins]
-        else:
-            power = diag[bins] + off[bins] + off[(-bins) % period]
-        mags = np.sqrt(power) / n
-    elif method == "direct":
-        mags = np.empty(alphas.size)
-        for i, a in enumerate(alphas):
-            mags[i] = np.linalg.norm(_cyclic_kernel(z, a, snap.sample_rate, conjugate))
+    bins = _as_fft_bins(alphas, snap.sample_rate, n)
+    if bins is None:
+        raise ValueError("alphas must lie on the sample_rate/N grid, below sample_rate")
+    d = int(np.gcd.reduce(bins, initial=n))
+    period = n // d
+    zc = z if conjugate else z.conj()
+    diag, off = _scan_power(z, zc, period)
+    diag = diag[0::2] + diag[1::2]
+    off = off[0::2] + off[1::2]
+    bins = bins // d
+    if conjugate:
+        power = diag[bins] + 2.0 * off[bins]
     else:
-        raise ValueError(f"unknown method {method!r}")
+        power = diag[bins] + off[bins] + off[(-bins) % period]
+    mags = np.sqrt(power) / n
     return CyclicSpectrum(alphas, mags, conjugate)
 
 
@@ -396,8 +376,8 @@ def detect_cyclic_freqs(spec: CyclicSpectrum, eigenvalues, n_samples):
     """
     mags = spec.magnitudes
     alphas = spec.alphas
-    if mags.size < 16:
-        raise ValueError("spectrum needs at least 16 grid points")
+    if mags.size < 2:  # the alpha = 0 exclusion reads the grid step
+        raise ValueError("spectrum needs at least 2 grid points")
     eligible = np.ones(mags.shape, dtype=bool)
     if not spec.conjugate:
         eligible = np.abs(alphas) >= 0.5 * (alphas[1] - alphas[0])

@@ -136,6 +136,16 @@ class TestValidation:
         path = write_scenario(tmp_path, doc)
         assert main(["validate", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("length", [4, 8, 24])
+    def test_short_frames_run(self, tmp_path, length):
+        # Frames of 24 samples once validated and then failed in frame 0.
+        doc = copy.deepcopy(SMALL_SCENARIO)
+        doc["scene"]["n_samples"] = 96
+        doc["frames"]["length"] = length
+        path = write_scenario(tmp_path, doc)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert len(list((tmp_path / "out" / "tracks").glob("frame_*.json"))) == 96 // length
+
 
 def exact_mode(doc, horizon=12, programs=6):
     doc["scheduler"].update(mode="exact", horizon_slots=horizon)
@@ -179,6 +189,22 @@ BAD_SCENARIOS = [
     ("scene.sources[0].direction.rate",
      ((*BPSK, "direction"), {"start": {"l": 0.4, "m": -0.3}, "rate": [1000.0, 0]})),
     ("scene.sources[0].freq_hz", ((*BPSK, "freq_hz"), 2e6)),
+    # A second program with id 1 was neither scheduled nor reported.
+    ("programs[1].id", lambda doc: doc["programs"].append(dict(doc["programs"][0]))),
+    # An inverted or empty band overlaps nothing, so its risk read 0.
+    ("scheduler.rfi_bands[0]", (("scheduler", "rfi_bands"), [
+        {"alpha_hz": 1.25e5, "f_lo_hz": 1.421e9, "f_hi_hz": 1.419e9}])),
+    ("scheduler.rfi_bands[0]", (("scheduler", "rfi_bands"), [
+        {"alpha_hz": 1.25e5, "f_lo_hz": 1.42e9, "f_hi_hz": 1.42e9}])),
+    # The band dict kept only the last of two equal alphas.
+    ("scheduler.rfi_bands[1].alpha_hz", (("scheduler", "rfi_bands"), [
+        {"alpha_hz": 1.25e5, "f_lo_hz": 1.419e9, "f_hi_hz": 1.421e9},
+        {"alpha_hz": 1.25e5, "f_lo_hz": 1.42e9, "f_hi_hz": 1.4201e9}])),
+    # Frames below 4 samples give a non-conjugate alpha grid of one point.
+    ("frames.length", (("frames", "length"), 2)),
+    ("frames.length", lambda doc: (doc["scene"].update(n_samples=96),
+                                   doc["frames"].update(length=3))),
+    ("scene.n_samples", (("scene", "n_samples"), 3)),
 ]
 
 
@@ -543,17 +569,37 @@ class TestSkymapCommand:
                      "--out", str(tmp_path / "sky")]) == 3
 
 
+def moving_exact_scenario(tmp_path):
+    """The small scene with its BPSK moving above `s_fast`, planned exactly."""
+    doc = copy.deepcopy(SMALL_SCENARIO)
+    doc["scene"]["sources"][0]["direction"] = {"start": {"l": 0.4, "m": -0.3},
+                                               "rate": [60.0, -30.0]}
+    doc["frames"]["length"] = 256
+    exact_mode(doc, horizon=12, programs=3)
+    return write_scenario(tmp_path, doc, "moving.json")
+
+
 class TestScheduleCommand:
     def test_schedule_from_frame_log(self, scenario, tmp_path):
-        run_out = tmp_path / "run_out"
-        assert main(["run", "--config", str(scenario), "--out", str(run_out)]) == 0
-        logs = sorted(run_out.glob("tracks/frame_*.json"))
-        sch_out = tmp_path / "sch"
-        assert main(["schedule", "--config", str(scenario),
-                     "--tracks", str(logs[-1]), "--out", str(sch_out)]) == 0
-        sched = json.loads((sch_out / "schedule.json").read_text())
+        # Planning from the run's last frame log reproduces the run's plan.
+        fig4 = Path(__file__).resolve().parent.parent / "scenarios" / "fig4.scenario"
+        for name, config in [("small", scenario), ("fig4", fig4),
+                             ("moving", moving_exact_scenario(tmp_path))]:
+            run_out = tmp_path / name / "run_out"
+            assert main(["run", "--config", str(config), "--out", str(run_out)]) == 0
+            logs = sorted(run_out.glob("tracks/frame_*.json"))
+            assert json.loads(logs[-1].read_text())["tracks"]
+            sch_out = tmp_path / name / "sch"
+            assert main(["schedule", "--config", str(config),
+                         "--tracks", str(logs[-1]), "--out", str(sch_out)]) == 0
+            for artifact in ("schedule.json", "flagmask.csv"):
+                assert filecmp.cmp(run_out / artifact, sch_out / artifact,
+                                   shallow=False), (name, artifact)
+        sched = json.loads((tmp_path / "small" / "sch" / "schedule.json").read_text())
         assert len(sched["slots"]) == 4
-        assert (sch_out / "flagmask.csv").exists()
+        moving = json.loads((tmp_path / "moving" / "run_out" / "tracks" /
+                             "frame_0007.json").read_text())
+        assert [t["class"] for t in moving["tracks"]] == [tracking.FAST]
 
     def test_schedule_without_channels_removes_flag_mask(self, scenario, tmp_path):
         run_out = tmp_path / "run_out"

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from cyclosky.arraysim import (ArraySnapshot, DirectionLM, Scene, SourceSpec,
                                default_geometry, steering_vector, synthesize)
-from cyclosky.cyclospec import (FFT_MATCH_RTOL, corr_matrix, cyclic_corr_matrix,
-                                cyclic_spectrum, detect_cyclic_freqs, fft_alpha_grid,
-                                signal_subspace, write_spectrum_csv)
+from cyclosky.cyclospec import (FFT_MATCH_RTOL, CyclicSpectrum, corr_matrix,
+                                cyclic_corr_matrix, cyclic_spectrum,
+                                detect_cyclic_freqs, fft_alpha_grid, signal_subspace,
+                                write_spectrum_csv)
 
 
 def noise_snapshot(m, n, seed, power=1.0, fs=1e6):
@@ -15,6 +16,12 @@ def noise_snapshot(m, n, seed, power=1.0, fs=1e6):
     data = np.sqrt(power / 2) * (rng.standard_normal((m, n))
                                  + 1j * rng.standard_normal((m, n)))
     return ArraySnapshot(data, fs)
+
+
+def direct_magnitudes(snap, alphas, conjugate=False):
+    """The scan's reference: the norm of `cyclic_corr_matrix` at each alpha."""
+    return np.array([np.linalg.norm(cyclic_corr_matrix(snap, a, conjugate).values)
+                     for a in alphas])
 
 
 def bpsk_scene_snapshot(m, n, seed, fs=1e6, snr_db=0.0):
@@ -125,9 +132,8 @@ class TestCyclicSpectrum:
         snap = noise_snapshot(6, 1024, seed=13)
         for conjugate in (False, True):
             grid = fft_alpha_grid(snap, conjugate)
-            fft = cyclic_spectrum(snap, grid, conjugate, method="fft")
-            direct = cyclic_spectrum(snap, grid, conjugate, method="direct")
-            assert np.allclose(fft.magnitudes, direct.magnitudes,
+            fft = cyclic_spectrum(snap, grid, conjugate)
+            assert np.allclose(fft.magnitudes, direct_magnitudes(snap, grid, conjugate),
                                rtol=1e-10, atol=1e-13)
 
     @settings(max_examples=60, deadline=None)
@@ -140,10 +146,9 @@ class TestCyclicSpectrum:
                                 max_size=12, unique=True))
         snap = noise_snapshot(m, n, seed)
         alphas = np.sort(np.array(ks)) * snap.sample_rate / n
-        fft = cyclic_spectrum(snap, alphas, conjugate, method="fft")
-        direct = cyclic_spectrum(snap, alphas, conjugate, method="direct")
-        assert np.array_equal(fft.alphas, direct.alphas)
-        assert np.allclose(fft.magnitudes, direct.magnitudes,
+        fft = cyclic_spectrum(snap, alphas, conjugate)
+        assert np.array_equal(fft.alphas, alphas)
+        assert np.allclose(fft.magnitudes, direct_magnitudes(snap, alphas, conjugate),
                            rtol=FFT_MATCH_RTOL, atol=1e-13)
 
     def test_single_antenna(self):
@@ -151,12 +156,11 @@ class TestCyclicSpectrum:
         z = snap.data[0]
         for conjugate in (False, True):
             grid = fft_alpha_grid(snap, conjugate)
-            spec = cyclic_spectrum(snap, grid, conjugate, method="fft")
+            spec = cyclic_spectrum(snap, grid, conjugate)
             prod = z * (z if conjugate else z.conj())
             expected = np.abs(np.fft.fft(prod))[:grid.size] / snap.n_samples
             assert np.allclose(spec.magnitudes, expected, rtol=1e-12)
-            direct = cyclic_spectrum(snap, grid, conjugate, method="direct")
-            assert np.allclose(spec.magnitudes, direct.magnitudes,
+            assert np.allclose(spec.magnitudes, direct_magnitudes(snap, grid, conjugate),
                                rtol=FFT_MATCH_RTOL, atol=1e-13)
 
     def test_rescan_bit_identical(self):
@@ -201,20 +205,25 @@ class TestCyclicSpectrum:
         off_grid = [0.5 * snap.sample_rate / 64]
         with pytest.raises(ValueError, match="sample_rate/N grid"):
             cyclic_spectrum(snap, off_grid)
-        assert cyclic_spectrum(snap, off_grid, method="direct").magnitudes.size == 1
+        assert direct_magnitudes(snap, off_grid).size == 1
 
     def test_rejects_unsorted_grid(self):
         snap = noise_snapshot(3, 64, seed=0)
         with pytest.raises(ValueError):
             cyclic_spectrum(snap, np.array([1.0, 1.0, 2.0]))
 
-    @pytest.mark.parametrize("method", ["fft", "direct"])
+    @pytest.mark.parametrize("estimator", ["fft", "direct"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    def test_rejects_non_finite_alpha(self, method, bad):
-        # NaN once passed the fft grid check and was read as bin 0.
+    def test_rejects_non_finite_alpha(self, estimator, bad):
+        # NaN once passed the fft grid check and was read as bin 0. The
+        # direct reference, `cyclic_corr_matrix`, rejects it too.
         snap = noise_snapshot(3, 64, seed=0)
-        with pytest.raises(ValueError, match=f"finite, not {bad}$"):
-            cyclic_spectrum(snap, [0.0, bad], method=method)
+        if estimator == "fft":
+            with pytest.raises(ValueError, match=f"finite, not {bad}$"):
+                cyclic_spectrum(snap, [0.0, bad])
+        else:
+            with pytest.raises(ValueError, match=f"sample_rate, not {bad}$"):
+                cyclic_corr_matrix(snap, bad)
 
 
 def detect_full(spec, snap):
@@ -231,7 +240,7 @@ class TestDetect:
         trials = 200
         for seed in range(trials):
             snap = noise_snapshot(8, 256, seed=1000 + seed)
-            spec = cyclic_spectrum(snap, alphas, method="direct")
+            spec = CyclicSpectrum(alphas, direct_magnitudes(snap, alphas), False)
             if not detect_full(spec, snap):
                 empty += 1
         assert empty / trials >= 0.99
@@ -261,22 +270,21 @@ class TestDetect:
     def test_alpha_zero_is_a_neighbour_but_never_a_hit(self):
         # The covariance bin takes part in the local-maximum rule and is then
         # dropped, so a weaker bin beside it is no hit either.
-        from cyclosky.cyclospec import CyclicSpectrum
         mags = np.zeros(32)
         mags[[5, 6, 20]] = 100.0, 50.0, 50.0
         spec = CyclicSpectrum(np.arange(-5.0, 27.0), mags, False)
         assert detect_cyclic_freqs(spec, [1.0], 64) == [(15.0, 50.0)]
 
     def test_degenerate_spectrum_empty(self):
-        from cyclosky.cyclospec import CyclicSpectrum
         spec = CyclicSpectrum(np.arange(32.0), np.ones(32), False)
         assert detect_cyclic_freqs(spec, [1e-6], 64) == []
 
     def test_requires_enough_points(self):
-        from cyclosky.cyclospec import CyclicSpectrum
-        spec = CyclicSpectrum(np.arange(8.0), np.ones(8), False)
-        with pytest.raises(ValueError):
+        spec = CyclicSpectrum(np.arange(1.0), np.ones(1), False)
+        with pytest.raises(ValueError, match="at least 2 grid points"):
             detect_cyclic_freqs(spec, [1.0], 16)
+        two = CyclicSpectrum(np.arange(2.0), np.array([1.0, 9.0]), False)
+        assert detect_cyclic_freqs(two, [1.0], 16) == [(1.0, 9.0)]
 
 
 class TestExports:

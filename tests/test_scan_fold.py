@@ -2,10 +2,11 @@
 
 When every requested bin is a multiple of d = gcd(N, bins), `cyclic_spectrum`
 folds each N-sample pair product onto period L = N/d and transforms it at
-length L. These tests hold it to the direct estimator within FFT_MATCH_RTOL,
-check the length it transforms at, and require the threaded scan to return
-the same bits as one thread. Full grids (d = 1) are pinned to the former
-loop by `test_scan_reference.py`.
+length L. These tests hold it to the direct estimator, the norm of
+`cyclic_corr_matrix` at each alpha, within FFT_MATCH_RTOL, check the length
+it transforms at, and require the threaded scan to return the same bits as
+one thread at the same block size. Full grids (d = 1) are pinned to the
+former loop by `test_scan_reference.py`.
 """
 
 from math import gcd
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 
 from cyclosky import cyclospec
 from cyclosky.arraysim import ArraySnapshot
-from cyclosky.cyclospec import FFT_MATCH_RTOL, cyclic_spectrum, fft_alpha_grid
+from cyclosky.cyclospec import (FFT_MATCH_RTOL, cyclic_corr_matrix, cyclic_spectrum,
+                                fft_alpha_grid)
 
 FS = 1e6
 
@@ -50,8 +52,9 @@ def scan(snap, alphas, conjugate, threads=1, block_samples=None):
 
 
 def assert_matches_direct(snap, alphas, conjugate, mags):
-    direct = cyclic_spectrum(snap, alphas, conjugate, method="direct")
-    assert np.allclose(mags, direct.magnitudes, rtol=FFT_MATCH_RTOL, atol=1e-13)
+    direct = [np.linalg.norm(cyclic_corr_matrix(snap, a, conjugate).values)
+              for a in alphas]
+    assert np.allclose(mags, direct, rtol=FFT_MATCH_RTOL, atol=1e-13)
 
 
 def fold_length(n, ks):
@@ -87,8 +90,10 @@ def test_folded_scan_matches_direct_and_threads(case):
     assert_matches_direct(snap, alphas, conjugate, mags)
     # Blocks of one to three partners, or the default.
     block = None if partners is None else partners * n
+    blocked, _ = scan(snap, alphas, conjugate, 1, block)
+    assert_matches_direct(snap, alphas, conjugate, blocked)
     threaded, _ = scan(snap, alphas, conjugate, threads, block)
-    assert np.array_equal(threaded, mags)
+    assert np.array_equal(threaded, blocked)
 
 
 @pytest.mark.parametrize("conjugate", [False, True])
@@ -114,8 +119,9 @@ def test_bins_closer_mod_n_than_their_gcd(conjugate):
     mags, length = scan(snap, alphas, conjugate)
     assert length == 4
     assert_matches_direct(snap, alphas, conjugate, mags)
+    blocked, _ = scan(snap, alphas, conjugate, block_samples=64)
     threaded, _ = scan(snap, alphas, conjugate, threads=2, block_samples=64)
-    assert np.array_equal(threaded, mags)
+    assert np.array_equal(threaded, blocked)
 
 
 @pytest.mark.parametrize("conjugate", [False, True])
