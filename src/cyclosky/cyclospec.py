@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._g17 import g17_rows
 from .arraysim import ArraySnapshot
 
 # Agreement of FFT scans, folded or not, with the norm of `cyclic_corr_matrix`.
@@ -412,10 +413,8 @@ def source_count(ra: CyclicCorrMatrix, eigenvalues, eigenvectors, n_samples) -> 
 
 
 def write_spectrum_csv(spec: CyclicSpectrum, path):
-    """Two header lines, then `alpha,magnitude` rows in `%.17g`; every value
-    of the file is formatted by a single `%` call."""
-    pairs = np.column_stack((spec.alphas, spec.magnitudes)).ravel().tolist()
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# conjugate={str(spec.conjugate).lower()}\n")
-        fh.write("alpha_hz,magnitude\n")
-        fh.write("%.17g,%.17g\n" * spec.alphas.size % tuple(pairs))
+    """Two header lines, then `alpha,magnitude` rows in `%.17g`."""
+    with open(path, "wb") as fh:
+        fh.write(f"# conjugate={str(spec.conjugate).lower()}\n".encode())
+        fh.write(b"alpha_hz,magnitude\n")
+        fh.write(g17_rows(np.column_stack((spec.alphas, spec.magnitudes)), 2))

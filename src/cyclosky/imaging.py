@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._g17 import g17_rows
 from .arraysim import C_LIGHT, ArrayGeometry, DirectionLM
 from .cyclospec import _local_maxima
 
@@ -278,16 +279,13 @@ def locate_peaks(smap: Skymap, max_peaks: int):
 
 
 def write_skymap_csv(smap: Skymap, path):
-    """Header line, then one row of `%.17g` values per l; every value of the
-    file is formatted by a single `%` call."""
+    """Header line, then one row of `%.17g` values per l."""
     g = smap.grid
-    n_l, n_m = smap.power.shape
-    row = ",".join(["%.17g"] * n_m) + "\n"
-    with open(path, "w", newline="") as fh:
+    with open(path, "wb") as fh:
         fh.write(f"# kind={smap.kind} alpha_hz={smap.alpha:.17g}"
                  f" l_min={g.l_min:.17g} l_max={g.l_max:.17g}"
-                 f" m_min={g.m_min:.17g} m_max={g.m_max:.17g}\n")
-        fh.write(row * n_l % tuple(smap.power.ravel().tolist()))
+                 f" m_min={g.m_min:.17g} m_max={g.m_max:.17g}\n".encode())
+        fh.write(g17_rows(smap.power, smap.power.shape[1]))
 
 
 def write_skymap_pgm(smap: Skymap, path):

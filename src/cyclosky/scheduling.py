@@ -81,11 +81,18 @@ class SchedulerConfig:
     bands: dict = field(default_factory=dict)
     band_alpha_tol: float = 1.0
 
+    def __post_init__(self):
+        for alpha, (f_lo, f_hi) in self.bands.items():
+            # An inverted band overlaps nothing, so its risk would read 0.
+            if not f_lo < f_hi:
+                raise ValueError(f"band at alpha {alpha}: f_lo must be below f_hi")
+
     def band_for(self, alpha):
-        for key, span in sorted(self.bands.items()):
-            if abs(key - alpha) <= self.band_alpha_tol:
-                return span
-        return (-np.inf, np.inf)
+        """Span of the band nearest alpha within band_alpha_tol (the lower
+        alpha on a tie), else the full band."""
+        near = [(abs(key - alpha), key) for key in self.bands
+                if abs(key - alpha) <= self.band_alpha_tol]
+        return self.bands[min(near)[1]] if near else (-np.inf, np.inf)
 
 
 @dataclass
@@ -197,6 +204,10 @@ def schedule(programs, site: SiteModel, horizon, tracks=(), mode="greedy",
     if mode == "exact":
         if horizon > EXACT_MAX_SLOTS or len(programs) > EXACT_MAX_PROGRAMS:
             raise ValueError("exact mode is limited to small instances")
+    ids = [p.id for p in programs]
+    repeated = sorted({pid for pid in ids if ids.count(pid) > 1})
+    if repeated:
+        raise ValueError(f"program ids must be unique; repeated: {repeated}")
     diagnostics = []
     if programs and horizon < min(p.duration for p in programs):
         diagnostics.append("horizon is shorter than every program duration; "

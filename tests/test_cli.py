@@ -12,6 +12,7 @@ from cyclosky.arraysim import ArraySnapshot
 from cyclosky.cli import load_scenario, main, run_pipeline
 from cyclosky.cyclospec import cyclic_corr_matrix
 from cyclosky.imaging import cyclic_skymap
+from test_csv_formats import reference_skymap_csv, reference_spectrum_csv
 
 SMALL_SCENARIO = {
     "schema_version": 1,
@@ -337,6 +338,22 @@ class TestDefaults:
                               [[0.0, 0.0], [1.5, 0.0], [0.0, 2.0]])
 
 
+def parsed_skymap(path):
+    """The map a skymap CSV holds, from its header line and values."""
+    lines = path.read_text().splitlines()
+    head = dict(item.split("=") for item in lines[0].split()[1:])
+    power = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+    grid = imaging.SkymapGrid(*(float(head[k]) for k in ("l_min", "l_max", "m_min", "m_max")),
+                              *power.shape)
+    return imaging.Skymap(grid, power, head["kind"], float(head["alpha_hz"]))
+
+
+def parsed_spectrum(path):
+    lines = path.read_text().splitlines()
+    alphas, mags = np.loadtxt(lines[2:], delimiter=",", ndmin=2, unpack=True)
+    return cyclospec.CyclicSpectrum(alphas, mags, lines[0] == "# conjugate=true")
+
+
 class TestRun:
     def test_full_run_outputs(self, scenario, tmp_path):
         out = tmp_path / "run_out"
@@ -355,6 +372,14 @@ class TestRun:
             assert spec.read_text().startswith("# conjugate=true\n")
             record = json.loads((out / "tracks" / f"frame_{frame:04d}.json").read_text())
             assert "tracks" in record
+        # Every map and spectrum is the per-value `%.17g` text of its values.
+        maps = sorted((out / "skymaps").glob("*.csv"))
+        spectra = sorted((out / "spectra").glob("*.csv"))
+        assert len(maps) >= 2 and len(spectra) == 4
+        for path in maps:
+            assert path.read_bytes() == reference_skymap_csv(parsed_skymap(path)), path
+        for path in spectra:
+            assert path.read_bytes() == reference_spectrum_csv(parsed_spectrum(path)), path
 
         sched = json.loads((out / "schedule.json").read_text())
         assert len(sched["slots"]) == 4

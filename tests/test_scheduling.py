@@ -84,6 +84,21 @@ class TestCorruptionRisk:
         assert corruption_risk(DirectionLM(0, 0), (1.2e9, 1.3e9), preds, cfg) == 0.0
         assert corruption_risk(DirectionLM(0, 0), (1.05e9, 1.2e9), preds, cfg) == 1.0
 
+    def test_band_for_takes_nearest_alpha(self):
+        cfg = SchedulerConfig(bands={125_000.0: (1419.0e6, 1419.5e6),
+                                     125_400.0: (1420.5e6, 1421.0e6)},
+                              band_alpha_tol=1e6 / 2048)
+        assert cfg.band_for(125_390.0) == (1420.5e6, 1421.0e6)
+        assert cfg.band_for(125_010.0) == (1419.0e6, 1419.5e6)
+        assert cfg.band_for(125_200.0) == (1419.0e6, 1419.5e6)  # tie: lower alpha
+        assert cfg.band_for(126_000.0) == (-np.inf, np.inf)
+
+    def test_inverted_band_rejected(self):
+        with pytest.raises(ValueError, match="alpha 125000.0"):
+            SchedulerConfig(bands={125_000.0: (1421.0e6, 1419.0e6)})
+        with pytest.raises(ValueError):
+            SchedulerConfig(bands={125_000.0: (1420.0e6, 1420.0e6)})
+
     def test_set_track_ignored(self):
         preds = [(self.pred(0.0, 0.0, below=True), 1e5)]
         assert corruption_risk(DirectionLM(0, 0), (1e9, 2e9), preds, self.cfg) == 0.0
@@ -189,6 +204,13 @@ class TestSchedule:
             Program(0, 0.0, 0.0, (2e9, 1e9), 1, 1.0)
         with pytest.raises(ValueError):
             Program(0, 0.0, 0.0, (1e9, 2e9), 1, 0.0)
+
+    def test_repeated_program_id_rejected(self):
+        programs = [self.zenith_program(pid=1, duration=2),
+                    self.zenith_program(pid=1, duration=2)]
+        for mode in ("greedy", "exact"):
+            with pytest.raises(ValueError, match=r"repeated: \[1\]"):
+                schedule(programs, self.site, 8, mode=mode)
 
 
 class TestFlagMask:
