@@ -8,6 +8,7 @@ seed and writes every artifact to the output directory.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -91,14 +92,14 @@ SCHEMA = {
         "non_conjugate": (bool, True), "conjugate": (bool, True),
         "max_detections_per_frame": (int, 3, *NON_NEGATIVE),
         "max_peaks_per_alpha": (int, 2, *AT_LEAST_1)},
-    "skymap": {"l_min": (float, -1.0), "l_max": (float, 1.0), "m_min": (float, -1.0),
-               "m_max": (float, 1.0), "n_l": (int, 128), "n_m": (int, 128)},
+    "skymap": {f.name: (f.type, f.default)
+               for f in dataclasses.fields(imaging.SkymapGrid)},
+    # TrackerConfig's fields, alpha_tol as alpha_tol_hz (None: one alpha-grid step).
     "tracker": {
-        "s_stat": (float, 1e-5, *NON_NEGATIVE), "s_fast": (float, 5e-3, *NON_NEGATIVE),
-        "gate_min": (float, 0.01, *NON_NEGATIVE),
-        "gate_sigma": (float, 3.0, *NON_NEGATIVE),
-        "alpha_tol_hz": (float, None, *NON_NEGATIVE),
-        "drop_after": (int, 5, *NON_NEGATIVE), "min_points": (int, 5, *AT_LEAST_1)},
+        **{f.name: (f.type, f.default, *NON_NEGATIVE)
+           for f in dataclasses.fields(tracking.TrackerConfig) if f.name != "alpha_tol"},
+        "min_points": (int, tracking.TrackerConfig.min_points, *AT_LEAST_1),
+        "alpha_tol_hz": (float, None, *NON_NEGATIVE)},
     "site": {"latitude_deg": (float, 0.0), "slot_length_s": (float, 600.0),
              "lst0_deg": (float, 0.0)},
     "program": {
@@ -108,9 +109,11 @@ SCHEMA = {
     "scheduler": {
         "mode": (str, "greedy", lambda v: v in ("greedy", "exact"),
                  "must be 'greedy' or 'exact'"),
-        "horizon_slots": (int, 12, *AT_LEAST_1), "lambda": (float, 1.0, *NON_NEGATIVE),
-        "risk_cap": (float, 0.5, *NON_NEGATIVE),
-        "exclusion_radius": (float, 0.1, *POSITIVE),
+        "horizon_slots": (int, 12, *AT_LEAST_1),
+        "lambda": (float, scheduling.SchedulerConfig.lam, *NON_NEGATIVE),
+        "risk_cap": (float, scheduling.SchedulerConfig.risk_cap, *NON_NEGATIVE),
+        "exclusion_radius": (float, scheduling.SchedulerConfig.exclusion_radius,
+                             *POSITIVE),
         "rfi_bands": (["rfi_band"], []), "channels": ("channels", None)},
     "rfi_band": {"alpha_hz": (float, REQUIRED), "f_lo_hz": (float, REQUIRED),
                  "f_hi_hz": (float, REQUIRED)},
@@ -245,14 +248,10 @@ class ScenarioConfig:
         self.skymap_grid = _build("skymap", imaging.SkymapGrid, **doc["skymap"])
 
         tracker = doc["tracker"]
-        alpha_tol = tracker["alpha_tol_hz"]
+        alpha_tol = tracker.pop("alpha_tol_hz")
         if alpha_tol is None:
             alpha_tol = fs / self.frame_length  # one alpha-grid step
-        self.tracker_cfg = tracking.TrackerConfig(
-            s_stat=tracker["s_stat"], s_fast=tracker["s_fast"],
-            gate_min=tracker["gate_min"], gate_sigma=tracker["gate_sigma"],
-            alpha_tol=alpha_tol, drop_after=tracker["drop_after"],
-            min_points=tracker["min_points"])
+        self.tracker_cfg = tracking.TrackerConfig(**tracker, alpha_tol=alpha_tol)
 
         site = doc["site"]
         self.site = _build("site", scheduling.SiteModel,
@@ -461,11 +460,11 @@ def _cmd_skymap(args, cfg):
         meta = json.load(fh)
     # Image with the array that recorded the snapshot, not the one the
     # scenario and --seed would build now.
-    missing = [k for k in ("positions_m", "reference_freq_hz", "seed")
-               if k not in meta]
+    missing = [k for k in ("positions_m", "reference_freq_hz", "seed",
+                           "sample_rate_hz", "t0_s") if k not in meta]
     if missing:
         raise ValueError(f"{meta_path} lacks {', '.join(missing)};"
-                         " rerun `cyclosky run` to record the array geometry")
+                         " rerun `cyclosky run` to record the snapshot")
     if args.seed is not None and args.seed != meta["seed"]:
         raise ValueError(f"{meta_path} was made with seed {meta['seed']},"
                          f" not --seed {args.seed}")

@@ -147,10 +147,10 @@ def _scan_threads():
     return min(SCAN_THREADS, cores)
 
 
-def _row_powers(z, zc, rows, n):
-    """Yield, for each of `rows`, |F|^2 of the pairs (row, j >= row),
-    F = FFT(z_row zc_j) at transform length n, interleaved as (re^2, im^2)
-    per bin: the diagonal term j = row and the sum over j > row.
+def _row_power(z, zc, row, n):
+    """|F|^2 of the pairs (row, j >= row), F = FFT(z_row zc_j) at transform
+    length n, interleaved as (re^2, im^2) per bin: the diagonal term j = row
+    and the sum over j > row.
 
     The products are N = z.shape[1] long. For n < N (n divides N) each is
     first folded onto period n, x_n[r] = sum_q x[r + qn], whose length-n DFT
@@ -158,8 +158,7 @@ def _row_powers(z, zc, rows, n):
 
     The partners go through the FFT in blocks of about _BLOCK_SAMPLES
     product samples, and each later block's sum is added to the row's in
-    block order. A row's last block is freed only after the next row's first
-    one is made, so the allocator reuses its pages instead of returning them.
+    block order.
     """
     m, samples = z.shape
     fold = samples // n
@@ -170,48 +169,39 @@ def _row_powers(z, zc, rows, n):
             p = p.reshape(len(p), fold, n).sum(axis=1)
         return np.fft.fft(p, axis=1).view(np.float64)
 
-    for row in rows:
-        f = transform(z[row] * zc[row:row + step])
-        diag = f[0] * f[0]
-        acc = np.einsum("ij,ij->j", f[1:], f[1:])
-        for start in range(row + step, m, step):
-            f = transform(z[row] * zc[start:start + step])
-            acc += np.einsum("ij,ij->j", f, f)
-        yield diag, acc
+    f = transform(z[row] * zc[row:row + step])
+    diag = f[0] * f[0]
+    acc = np.einsum("ij,ij->j", f[1:], f[1:])
+    for start in range(row + step, m, step):
+        f = transform(z[row] * zc[start:start + step])
+        acc += np.einsum("ij,ij->j", f, f)
+    return diag, acc
 
 
 def _scan_power(z, zc, n):
     """Diagonal and off-diagonal |F|^2 of an FFT scan at transform length n,
     summed over rows; the pair products are z.shape[1] long.
 
-    Rows go round-robin to the calling thread (rows = 0 mod k) and k - 1
-    pool workers, one residue each. Each row's powers are kept at its index
-    and added in row order once every worker is done, so the sums do not
-    depend on k. Workers call numpy and `_row_powers` only. A worker's
-    exception re-raises through its `result()`; if the caller's own row
+    The calling thread computes rows = 0 mod k and takes the others from
+    k - 1 pool workers through one `map`, which yields them in row order.
+    Each row is added as it arrives, in row order, so the sums do not
+    depend on k. Workers call numpy and `_row_power` only. A worker's
+    exception re-raises where its row is taken; if the caller's own row
     raises, the workers first finish their rows (at most one scan's work).
     """
     m, samples = z.shape
     k = 1
     if m * (m + 1) // 2 * samples >= PARALLEL_MIN_PAIR_SAMPLES:
         k = min(_scan_threads(), m)
-    powers = [None] * m
-
-    def work(first):
-        rows = range(first, m, k)
-        for row, power in zip(rows, _row_powers(z, zc, rows, n)):
-            powers[row] = power
-
-    with ThreadPoolExecutor(max(k - 1, 1)) as pool:
-        futures = [pool.submit(work, first) for first in range(1, k)]
-        work(0)
-        for future in futures:
-            future.result()
     diag = np.zeros(2 * n)
     off = np.zeros(2 * n)
-    for row_diag, row_off in powers:
-        diag += row_diag
-        off += row_off
+    with ThreadPoolExecutor(max(k - 1, 1)) as pool:
+        taken = pool.map(lambda row: _row_power(z, zc, row, n),
+                         [row for row in range(m) if row % k])
+        for row in range(m):
+            row_diag, row_off = next(taken) if row % k else _row_power(z, zc, row, n)
+            diag += row_diag
+            off += row_off
     return diag, off
 
 

@@ -547,17 +547,19 @@ class TestSkymapCommand:
                      "--seed", "8", "--out", str(tmp_path / "sky")]) == 3
         assert "seed 7" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["positions_m", "reference_freq_hz", "seed",
+                                     "sample_rate_hz", "t0_s"])
     def test_snapshot_without_geometry_is_runtime_error(self, scenario, tmp_path,
-                                                        capsys):
+                                                        capsys, key):
         run_out = tmp_path / "run_out"
         assert main(["run", "--config", str(scenario), "--out", str(run_out)]) == 0
         meta_path = run_out / "snapshot_meta.json"
         meta = json.loads(meta_path.read_text())
-        del meta["positions_m"]
+        del meta[key]
         meta_path.write_text(json.dumps(meta))
         assert main(["skymap", "--config", str(scenario), "--snapshot", str(run_out),
                      "--out", str(tmp_path / "sky")]) == 3
-        assert "positions_m" in capsys.readouterr().err
+        assert f"{meta_path} lacks {key};" in capsys.readouterr().err
         assert not (tmp_path / "sky" / "skymap.csv").exists()
 
     def test_non_finite_snapshot_is_runtime_error(self, scenario, tmp_path, capsys):

@@ -2,14 +2,14 @@
 
 `reference_spectrum` is the former FFT body of `cyclic_spectrum`: one FFT
 call and one `einsum` per row, the rows added in order on one thread, with
-each row's products folded onto the grid's period first as `_row_powers`
+each row's products folded onto the grid's period first as `_row_power`
 folds them (only the one-bin grids of N = 2 and 3 fold here). The scan now
-splits each row's partners into blocks and deals the rows out to threads.
+splits each row's partners into blocks and shares the rows among threads.
 Where a row's partners span more than one block, the reference adds each
 block's `einsum` to the row's sum in block order, as the scan does; a row
 that fits one block keeps the whole-row form. With the work threshold at 0
 and 2 or 3 threads the scan must still return the same magnitudes bit for
-bit. (The scan uses at most `SCAN_THREADS` = 2; 3 checks the deal with more
+bit. (The scan uses at most `SCAN_THREADS` = 2; 3 checks the scan with more
 than one worker.) The direct estimator, the norm of `cyclic_corr_matrix` at
 each alpha, is the scan's reference within FFT_MATCH_RTOL in
 `test_cyclospec.py` and `test_scan_fold.py`.
@@ -18,6 +18,7 @@ each alpha, is the scan's reference within FFT_MATCH_RTOL in
 import os
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -140,33 +141,31 @@ def test_scan_threads_without_affinity_counts_cpus(monkeypatch, cpus, threads):
 
 def row_threads(monkeypatch, snap, threads=1):
     """The thread that ran each row of one scan (objects, not idents, which
-    a finished thread may hand on). Each residue waits at its first row
-    until `threads` have arrived, so a pool cannot hand two residues to one
-    idle worker."""
+    a finished thread may hand on). Each thread waits at its first row until
+    `threads` have arrived, so a pool cannot hand every row to one worker
+    that went idle."""
     seen = {}
-    real = cyclospec._row_powers
+    real = cyclospec._row_power
     first_rows = threading.Barrier(threads, timeout=30)
 
-    def spy(z, zc, rows, n):
-        for row, power in zip(rows, real(z, zc, rows, n)):
-            if row == rows[0]:
-                first_rows.wait()
-            seen[row] = threading.current_thread()
-            yield power
+    def spy(z, zc, row, n):
+        if threading.current_thread() not in seen.values():
+            first_rows.wait()
+        seen[row] = threading.current_thread()
+        return real(z, zc, row, n)
 
-    monkeypatch.setattr(cyclospec, "_row_powers", spy)
+    monkeypatch.setattr(cyclospec, "_row_power", spy)
     cyclic_spectrum(snap, fft_alpha_grid(snap))
     return seen
 
 
-def test_rows_dealt_round_robin(monkeypatch):
+def test_caller_takes_every_kth_row(monkeypatch):
     monkeypatch.setattr(cyclospec, "PARALLEL_MIN_PAIR_SAMPLES", 0)
     monkeypatch.setattr(cyclospec, "_scan_threads", lambda: 3)
     seen = row_threads(monkeypatch, random_snapshot(7, 64, seed=1), threads=3)
     assert sorted(seen) == list(range(7))
-    assert {seen[r] for r in (0, 3, 6)} == {threading.main_thread()}
-    assert len({seen[r] for r in range(7)}) == 3
-    assert seen[1] == seen[4] and seen[2] == seen[5]
+    assert {r for r in seen if seen[r] is threading.main_thread()} == {0, 3, 6}
+    assert len(set(seen.values())) == 3
 
 
 def test_small_scan_stays_on_calling_thread(monkeypatch):
@@ -176,6 +175,38 @@ def test_small_scan_stays_on_calling_thread(monkeypatch):
     assert set(seen.values()) == {threading.main_thread()}
 
 
+def most_rows_alive(monkeypatch, snap):
+    """The most earlier rows whose powers were still alive when a row of one
+    scan started."""
+    real = cyclospec._row_power
+    done = []
+    most = 0
+
+    def spy(z, zc, row, n):
+        nonlocal most
+        most = max(most, sum(any(ref() is not None for ref in refs) for refs in done))
+        power = real(z, zc, row, n)
+        done.append([weakref.ref(a) for a in power])
+        return power
+
+    monkeypatch.setattr(cyclospec, "_row_power", spy)
+    cyclic_spectrum(snap, fft_alpha_grid(snap))
+    return most
+
+
+def test_one_thread_holds_one_earlier_row(monkeypatch):
+    # 24 x 256 is 76,800 pair-samples, below the threshold.
+    assert most_rows_alive(monkeypatch, random_snapshot(24, 256, seed=3)) <= 1
+
+
+def test_two_threads_hold_at_most_the_workers_rows(monkeypatch):
+    # The worker runs ahead by at most its own 12 rows; the caller holds the
+    # last row it added.
+    monkeypatch.setattr(cyclospec, "PARALLEL_MIN_PAIR_SAMPLES", 0)
+    monkeypatch.setattr(cyclospec, "_scan_threads", lambda: 2)
+    assert most_rows_alive(monkeypatch, random_snapshot(24, 256, seed=3)) <= 24 // 2 + 1
+
+
 @pytest.mark.parametrize("threads", [2, 3])
 @pytest.mark.parametrize("bad_row", [0, 1])
 def test_row_failure_reaches_caller_and_no_thread_outlives_it(monkeypatch, threads,
@@ -183,15 +214,14 @@ def test_row_failure_reaches_caller_and_no_thread_outlives_it(monkeypatch, threa
     monkeypatch.setattr(cyclospec, "PARALLEL_MIN_PAIR_SAMPLES", 0)
     monkeypatch.setattr(cyclospec, "_scan_threads", lambda: threads)
     error = RuntimeError(f"row {bad_row} failed")
-    real = cyclospec._row_powers
+    real = cyclospec._row_power
 
-    def failing(z, zc, rows, n):
-        for row, power in zip(rows, real(z, zc, rows, n)):
-            if row == bad_row:
-                raise error
-            yield power
+    def failing(z, zc, row, n):
+        if row == bad_row:
+            raise error
+        return real(z, zc, row, n)
 
-    monkeypatch.setattr(cyclospec, "_row_powers", failing)
+    monkeypatch.setattr(cyclospec, "_row_power", failing)
     snap = random_snapshot(9, 128, seed=2)
     before = threading.active_count()
     with pytest.raises(RuntimeError) as excinfo:
@@ -205,10 +235,10 @@ def test_failed_thread_start_joins_started_workers(monkeypatch):
     monkeypatch.setattr(cyclospec, "_scan_threads", lambda: 3)
     error = RuntimeError("can't start new thread")
     real_start = threading.Thread.start
-    real_rows = cyclospec._row_powers
+    real_row = cyclospec._row_power
     starts = []
     # The first worker holds its rows until the second start fails, so the
-    # pool cannot hand the second residue to it as an idle worker instead.
+    # pool cannot hand the second row to it as an idle worker instead.
     second_start = threading.Event()
 
     def start_once(thread):
@@ -218,13 +248,13 @@ def test_failed_thread_start_joins_started_workers(monkeypatch):
         starts.append(thread)
         real_start(thread)
 
-    def held_rows(z, zc, rows, n):
+    def held_row(z, zc, row, n):
         if threading.current_thread() is not threading.main_thread():
             assert second_start.wait(timeout=30)
-        yield from real_rows(z, zc, rows, n)
+        return real_row(z, zc, row, n)
 
     monkeypatch.setattr(threading.Thread, "start", start_once)
-    monkeypatch.setattr(cyclospec, "_row_powers", held_rows)
+    monkeypatch.setattr(cyclospec, "_row_power", held_row)
     snap = random_snapshot(9, 128, seed=2)
     before = threading.active_count()
     with pytest.raises(RuntimeError) as excinfo:
