@@ -51,7 +51,7 @@ def _finite_power(snr_db):
 
 
 # section -> key -> (type, default or REQUIRED[, check, message]). A type is
-# bool, int, float, str or dict (a raw JSON object), the name of another
+# int, float, str or dict (a raw JSON object), the name of another
 # section, or [type] for a JSON array of that type. JSON integers are taken
 # for float keys; null is taken only where the default is None.
 SCHEMA = {
@@ -89,17 +89,15 @@ SCHEMA = {
         "rate": ([float], [0.0, 0.0], lambda v: len(v) == 2, "must be [dl_dt, dm_dt]")},
     "frames": {"length": (int, None, lambda v: v >= 4, "must be >= 4")},
     "analysis": {
-        "non_conjugate": (bool, True), "conjugate": (bool, True),
         "max_detections_per_frame": (int, 3, *NON_NEGATIVE),
         "max_peaks_per_alpha": (int, 2, *AT_LEAST_1)},
     "skymap": {f.name: (f.type, f.default)
                for f in dataclasses.fields(imaging.SkymapGrid)},
-    # TrackerConfig's fields, alpha_tol as alpha_tol_hz (None: one alpha-grid step).
+    # TrackerConfig's fields but alpha_tol, which is one alpha-grid step.
     "tracker": {
         **{f.name: (f.type, f.default, *NON_NEGATIVE)
            for f in dataclasses.fields(tracking.TrackerConfig) if f.name != "alpha_tol"},
-        "min_points": (int, tracking.TrackerConfig.min_points, *AT_LEAST_1),
-        "alpha_tol_hz": (float, None, *NON_NEGATIVE)},
+        "min_points": (int, tracking.TrackerConfig.min_points, *AT_LEAST_1)},
     "site": {"latitude_deg": (float, 0.0), "slot_length_s": (float, 600.0),
              "lst0_deg": (float, 0.0)},
     "program": {
@@ -122,7 +120,7 @@ SCHEMA = {
     "output": {"directory": (str, "out")},
 }
 
-_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+_TYPE_NAMES = {int: "an integer", float: "a number",
                str: "a string", list: "an array", dict: "an object"}
 
 
@@ -196,6 +194,9 @@ class ScenarioConfig:
         if scene["positions_m"] is not None:
             self.geometry = _build("scene.positions_m", arraysim.ArrayGeometry,
                                    scene["positions_m"], f0)
+            _require(scene["n_antennas"] in (None, self.geometry.n_antennas),
+                     "scene.n_antennas", f"{scene['n_antennas']} disagrees with the "
+                     f"{self.geometry.n_antennas} rows of scene.positions_m")
         else:
             _require(scene["n_antennas"] is not None, "scene.n_antennas",
                      "missing required key")
@@ -240,18 +241,13 @@ class ScenarioConfig:
                  f"not below {MAX_FRAME_LOAD:g}")
 
         analysis = doc["analysis"]
-        self.scan_non_conjugate = analysis["non_conjugate"]
-        self.scan_conjugate = analysis["conjugate"]
         self.max_detections = analysis["max_detections_per_frame"]
         self.max_peaks = analysis["max_peaks_per_alpha"]
 
         self.skymap_grid = _build("skymap", imaging.SkymapGrid, **doc["skymap"])
 
-        tracker = doc["tracker"]
-        alpha_tol = tracker.pop("alpha_tol_hz")
-        if alpha_tol is None:
-            alpha_tol = fs / self.frame_length  # one alpha-grid step
-        self.tracker_cfg = tracking.TrackerConfig(**tracker, alpha_tol=alpha_tol)
+        alpha_tol = fs / self.frame_length  # one alpha-grid step
+        self.tracker_cfg = tracking.TrackerConfig(**doc["tracker"], alpha_tol=alpha_tol)
 
         site = doc["site"]
         self.site = _build("site", scheduling.SiteModel,
@@ -347,13 +343,8 @@ def _analyze_frame(cfg, frame_snap, out, frame_idx):
     lam, vecs, rank = cyclospec.signal_subspace(r, n)
     subspace = arraysim.ArraySnapshot(vecs[:, :rank].conj().T @ frame_snap.data,
                                       frame_snap.sample_rate, frame_snap.t0)
-    scans = []
-    if cfg.scan_non_conjugate:
-        scans.append(False)
-    if cfg.scan_conjugate:
-        scans.append(True)
     hits = []
-    for conjugate in scans:
+    for conjugate in (False, True):
         grid = cyclospec.fft_alpha_grid(subspace, conjugate)
         spec = cyclospec.cyclic_spectrum(subspace, grid, conjugate)
         label = "conj" if conjugate else "nonconj"
@@ -443,10 +434,9 @@ def _write_manifest(cfg, out_dir):
 
 
 def _cmd_run(args, cfg):
-    if not args.validate_only:
-        out_dir = args.out or cfg.out_dir
-        run_pipeline(cfg, out_dir)
-        _write_manifest(cfg, out_dir)
+    out_dir = args.out or cfg.out_dir
+    run_pipeline(cfg, out_dir)
+    _write_manifest(cfg, out_dir)
 
 
 def _cmd_validate(args, cfg):
@@ -507,7 +497,6 @@ def build_parser():
     run.add_argument("--config", required=True)
     run.add_argument("--out", help="output directory (default: scenario's)")
     run.add_argument("--seed", type=int, help="override the scenario seed")
-    run.add_argument("--validate-only", action="store_true")
     run.add_argument("--mode", choices=["greedy", "exact"])
     run.set_defaults(func=_cmd_run)
 

@@ -212,8 +212,6 @@ def schedule(programs, site: SiteModel, horizon, tracks=(), mode="greedy",
     if programs and horizon < min(p.duration for p in programs):
         diagnostics.append("horizon is shorter than every program duration; "
                            "nothing scheduled")
-        return Schedule([None] * horizon, [None] * horizon, [0.0] * horizon,
-                        0.0, 0.0, {}, [p.id for p in programs], diagnostics)
     classified = [tr for tr in tracks if tr.track_class != UNCLASSIFIED]
     preds_by_slot = _slot_predictions(classified, site, horizon)
     progs = sorted(programs, key=lambda p: p.id)

@@ -31,8 +31,7 @@ SMALL_SCENARIO = {
         ],
     },
     "frames": {"length": 1024},
-    "analysis": {"non_conjugate": True, "conjugate": True,
-                 "max_detections_per_frame": 2, "max_peaks_per_alpha": 1},
+    "analysis": {"max_detections_per_frame": 2, "max_peaks_per_alpha": 1},
     "skymap": {"l_min": -1.0, "l_max": 1.0, "m_min": -1.0, "m_max": 1.0,
                "n_l": 48, "n_m": 48},
     "tracker": {"min_points": 2, "s_stat": 2.0, "s_fast": 50.0,
@@ -68,9 +67,6 @@ class TestValidation:
     def test_valid_scenario(self, scenario, capsys):
         assert main(["validate", "--config", str(scenario)]) == 0
         assert "valid" in capsys.readouterr().out
-
-    def test_validate_only_run(self, scenario):
-        assert main(["run", "--config", str(scenario), "--validate-only"]) == 0
 
     def test_unknown_key_named(self, tmp_path, capsys):
         doc = copy.deepcopy(SMALL_SCENARIO)
@@ -172,7 +168,9 @@ BAD_SCENARIOS = [
     ("scene.sources[0].direction.rate",
      ((*BPSK, "direction"), {"start": {"l": 0.4, "m": -0.3}, "rate": 5})),
     ("skymap.n_l", (("skymap", "n_l"), 48.9)),
-    ("analysis.non_conjugate", (("analysis", "non_conjugate"), "false")),
+    # Both scans always run and the alpha tolerance is one grid step: the keys
+    # that set them are unknown, even at their former defaults (also below).
+    ("analysis.non_conjugate", (("analysis", "non_conjugate"), True)),
     ("analysis.max_detections_per_frame",
      (("analysis", "max_detections_per_frame"), -1)),
     ("tracker.drop_after", (("tracker", "drop_after"), -1)),
@@ -206,6 +204,10 @@ BAD_SCENARIOS = [
     ("frames.length", lambda doc: (doc["scene"].update(n_samples=96),
                                    doc["frames"].update(length=3))),
     ("scene.n_samples", (("scene", "n_samples"), 3)),
+    ("analysis.conjugate", (("analysis", "conjugate"), True)),
+    ("tracker.alpha_tol_hz", (("tracker", "alpha_tol_hz"), 1e6 / 1024)),
+    # A count that disagrees with the positions was ignored.
+    ("scene.n_antennas", (("scene", "positions_m"), [[0, 0], [30, 0], [0, 40]])),
 ]
 
 
@@ -247,10 +249,18 @@ class TestBadScenarios:
                     in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
-    def test_negative_seed_override(self, scenario, capsys):
+    def test_negative_seed_override(self, scenario, tmp_path, capsys):
+        out = tmp_path / "out"
         assert main(["run", "--config", str(scenario), "--seed", "-1",
-                     "--validate-only"]) == 2
+                     "--out", str(out)]) == 2
         assert "scenario error: seed: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_validate_only_is_gone(self, scenario, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(scenario), "--validate-only"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --validate-only" in capsys.readouterr().err
 
 
 class TestDefaults:
@@ -286,7 +296,6 @@ class TestDefaults:
             arraysim.SourceSpec("cw", -3.0, arraysim.TrajectorySpec(
                 arraysim.DirectionLM(0.0, -0.5), (0.0, 0.0)))]
         assert (cfg.frame_length, cfg.n_frames) == (512, 1)
-        assert (cfg.scan_non_conjugate, cfg.scan_conjugate) == (True, True)
         assert (cfg.max_detections, cfg.max_peaks) == (3, 2)
         assert cfg.skymap_grid == imaging.SkymapGrid(-1.0, 1.0, -1.0, 1.0, 128, 128)
         assert cfg.tracker_cfg == tracking.TrackerConfig(
@@ -320,7 +329,6 @@ class TestDefaults:
     def test_null_where_the_default_is_none(self, tmp_path):
         doc = copy.deepcopy(self.MINIMAL)
         doc["scene"]["sources"][0]["seed"] = None
-        doc["tracker"] = {"alpha_tol_hz": None}
         doc["scheduler"]["channels"] = None
         doc["scene"]["positions_m"] = None
         cfg = load_scenario(write_scenario(tmp_path, doc))
@@ -336,6 +344,9 @@ class TestDefaults:
         cfg = load_scenario(write_scenario(tmp_path, doc))
         assert np.array_equal(cfg.geometry.positions,
                               [[0.0, 0.0], [1.5, 0.0], [0.0, 2.0]])
+        for n_antennas in (None, 3):  # null, or the row count, agrees
+            doc["scene"]["n_antennas"] = n_antennas
+            assert load_scenario(write_scenario(tmp_path, doc)).geometry.n_antennas == 3
 
 
 def parsed_skymap(path):

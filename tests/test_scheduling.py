@@ -188,12 +188,12 @@ class TestSchedule:
         doc = json.loads(path.read_text(), parse_constant=reject)
         assert [s["risk"] for s in doc["slots"]] == sched.risk
 
-    def test_horizon_too_short_diagnostic(self):
+    @pytest.mark.parametrize("mode", ["greedy", "exact"])
+    def test_horizon_too_short_diagnostic(self, mode):
         p = self.zenith_program(duration=5)
-        sched = schedule([p], self.site, 3)
-        assert sched.starts == {}
-        assert sched.unscheduled == [0]
-        assert any("horizon" in d for d in sched.diagnostics)
+        assert schedule([p], self.site, 3, mode=mode) == Schedule(
+            [None] * 3, [None] * 3, [0.0] * 3, 0.0, 0.0, {}, [0],
+            ["horizon is shorter than every program duration; nothing scheduled"])
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
