@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import traceback
+from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -322,23 +323,29 @@ def _require_finite(values, what, frame_idx):
 
 def _write_skymap(smap, stem):
     """`<stem>.csv` and `<stem>.pgm` (with its `.meta` sidecar)."""
-    imaging.write_skymap_csv(smap, f"{stem}.csv")
-    imaging.write_skymap_pgm(smap, f"{stem}.pgm")
+    Path(f"{stem}.csv").write_bytes(imaging.skymap_csv(smap))
+    pgm, meta = imaging.skymap_pgm(smap)
+    Path(f"{stem}.pgm").write_bytes(pgm)
+    Path(f"{stem}.pgm.meta").write_bytes(meta)
 
 
-def _analyze_frame(cfg, frame_snap, out, frame_idx):
+def _write_spectrum(spec, path):
+    path.write_bytes(cyclospec.spectrum_csv(spec))
+
+
+def _analyze_frame(cfg, frame_snap, out, frame_idx, write):
     """One detection / imaging cycle; returns the frame's detections.
 
     Both alpha-scans run on the frame's signal subspace, y = U_r^H z, each
     tested against its own stationary null; each hit is imaged on all
     antennas and gives as many map peaks as it has sources, up to
-    `max_peaks`.
+    `max_peaks`. The frame's map and spectrum files go to `write(fn, *args)`.
     """
     detections = []
     r = cyclospec.corr_matrix(frame_snap)
     _require_finite(r, "covariance", frame_idx)
-    _write_skymap(imaging.skymap(r, cfg.geometry, cfg.skymap_grid),
-                  out / "skymaps" / f"frame_{frame_idx:04d}_classical")
+    write(_write_skymap, imaging.skymap(r, cfg.geometry, cfg.skymap_grid),
+          out / "skymaps" / f"frame_{frame_idx:04d}_classical")
     n = frame_snap.n_samples
     lam, vecs, rank = cyclospec.signal_subspace(r, n)
     subspace = arraysim.ArraySnapshot(vecs[:, :rank].conj().T @ frame_snap.data,
@@ -349,8 +356,8 @@ def _analyze_frame(cfg, frame_snap, out, frame_idx):
         spec = cyclospec.cyclic_spectrum(subspace, grid, conjugate)
         label = "conj" if conjugate else "nonconj"
         _require_finite(spec.magnitudes, f"{label} spectrum", frame_idx)
-        cyclospec.write_spectrum_csv(
-            spec, out / "spectra" / f"frame_{frame_idx:04d}_{label}.csv")
+        write(_write_spectrum, spec,
+              out / "spectra" / f"frame_{frame_idx:04d}_{label}.csv")
         for alpha, mag in cyclospec.detect_cyclic_freqs(spec, lam[:rank], n):
             hits.append((conjugate, alpha, mag))
     hits.sort(key=lambda h: -h[2])
@@ -362,7 +369,7 @@ def _analyze_frame(cfg, frame_snap, out, frame_idx):
             continue
         cmap = imaging.cyclic_skymap(ra, cfg.geometry, cfg.skymap_grid)
         if first:
-            _write_skymap(cmap, out / "skymaps" / f"frame_{frame_idx:04d}_cyclic")
+            write(_write_skymap, cmap, out / "skymaps" / f"frame_{frame_idx:04d}_cyclic")
             first = False
         for direction, power in imaging.locate_peaks(cmap, min(sources, cfg.max_peaks)):
             detections.append(tracking.Detection(frame_snap.t0, alpha, conjugate,
@@ -405,16 +412,31 @@ def run_pipeline(cfg: ScenarioConfig, out_dir):
         fh.write("\n")
 
     tracker = tracking.Tracker(cfg.tracker_cfg)
-    for idx in range(cfg.n_frames):
-        lo = idx * cfg.frame_length
-        hi = lo + cfg.frame_length
-        frame_time = snap.t0 + lo / snap.sample_rate
-        frame = arraysim.ArraySnapshot(snap.data[:, lo:hi], snap.sample_rate,
-                                       frame_time)
-        detections = _analyze_frame(cfg, frame, out, idx)
-        tracker.step(detections, frame_time)
-        tracking.write_frame_log(tracker.frame_record(frame_time),
-                                 out / "tracks" / f"frame_{idx:04d}.json")
+    # One writer thread renders and writes each frame's maps and spectra while
+    # this thread goes on with the frame's analysis, whose BLAS and FFT calls
+    # release the GIL. A frame's log comes after its files are complete, and
+    # the `with` waits for every submitted write, also on an error.
+    # perfbench's Tracer keeps one span stack per process, so the writer
+    # calls none of the functions it wraps (no `write_*`, no `np.save`).
+    with ThreadPoolExecutor(1) as writer:
+        for idx in range(cfg.n_frames):
+            lo = idx * cfg.frame_length
+            hi = lo + cfg.frame_length
+            frame_time = snap.t0 + lo / snap.sample_rate
+            frame = arraysim.ArraySnapshot(snap.data[:, lo:hi], snap.sample_rate,
+                                           frame_time)
+            writes = []
+            detections = _analyze_frame(
+                cfg, frame, out, idx, lambda *task: writes.append(writer.submit(*task)))
+            for pending in writes:
+                pending.result()  # re-raises a failed write here
+            tracker.step(detections, frame_time)
+            tracking.write_frame_log(tracker.frame_record(frame_time),
+                                     out / "tracks" / f"frame_{idx:04d}.json")
+    # Kept past the run, the operator lies next to the snapshot's freed block
+    # in the heap; the next run's small allocations can then split that
+    # block, and its snapshot extends the heap by a whole snapshot instead.
+    imaging.release_operator()
 
     _plan(cfg, tracker.tracks, out)
 

@@ -402,9 +402,7 @@ def source_count(ra: CyclicCorrMatrix, eigenvalues, eigenvectors, n_samples) -> 
     return int(np.count_nonzero(sv > SOURCE_EDGE * 2.0 * math.sqrt(c * (1.0 - c))))
 
 
-def write_spectrum_csv(spec: CyclicSpectrum, path):
+def spectrum_csv(spec: CyclicSpectrum) -> bytes:
     """Two header lines, then `alpha,magnitude` rows in `%.17g`."""
-    with open(path, "wb") as fh:
-        fh.write(f"# conjugate={str(spec.conjugate).lower()}\n".encode())
-        fh.write(b"alpha_hz,magnitude\n")
-        fh.write(g17_rows(np.column_stack((spec.alphas, spec.magnitudes)), 2))
+    return (f"# conjugate={str(spec.conjugate).lower()}\nalpha_hz,magnitude\n".encode()
+            + g17_rows(np.column_stack((spec.alphas, spec.magnitudes)), 2))

@@ -76,7 +76,8 @@ _PHASE_TOL = 1e-16
 
 # The one (geometry, grid) operator in use: key -> per-axis pair factors and
 # the visibility mask (see `_operator`). Every map of a run shares it; a
-# single entry bounds the memory to one operator.
+# single entry bounds the memory to one operator, and `release_operator`
+# frees it.
 _operator_cache = {}
 
 
@@ -167,6 +168,11 @@ def _operator(geom: ArrayGeometry, grid: SkymapGrid):
             arr.flags.writeable = False
         _operator_cache[key] = op
     return op
+
+
+def release_operator():
+    """Free the cached imaging operator; the next map builds it again."""
+    _operator_cache.clear()
 
 
 def _pair_map(factor_l, factor_m, weights):
@@ -278,34 +284,29 @@ def locate_peaks(smap: Skymap, max_peaks: int):
     return peaks[:max_peaks]
 
 
-def write_skymap_csv(smap: Skymap, path):
+def skymap_csv(smap: Skymap) -> bytes:
     """Header line, then one row of `%.17g` values per l."""
     g = smap.grid
-    with open(path, "wb") as fh:
-        fh.write(f"# kind={smap.kind} alpha_hz={smap.alpha:.17g}"
-                 f" l_min={g.l_min:.17g} l_max={g.l_max:.17g}"
-                 f" m_min={g.m_min:.17g} m_max={g.m_max:.17g}\n".encode())
-        fh.write(g17_rows(smap.power, smap.power.shape[1]))
+    return (f"# kind={smap.kind} alpha_hz={smap.alpha:.17g}"
+            f" l_min={g.l_min:.17g} l_max={g.l_max:.17g}"
+            f" m_min={g.m_min:.17g} m_max={g.m_max:.17g}\n".encode()
+            + g17_rows(smap.power, smap.power.shape[1]))
 
 
-def write_skymap_pgm(smap: Skymap, path):
-    """16-bit big-endian P5 image, linearly scaled from [0, max].
-
-    A sidecar `<path>.meta` records the scale and grid so the map can be
-    reconstructed (up to quantization).
-    """
+def skymap_pgm(smap: Skymap):
+    """A 16-bit big-endian P5 image, linearly scaled from [0, max], and the
+    text of its `.meta` sidecar, which records the scale and grid so the map
+    can be reconstructed (up to quantization)."""
     power = smap.power
     peak = float(power.max())
     if peak > 0:
         img = np.rint(power / peak * 65535.0).astype(">u2")
     else:
         img = np.zeros(power.shape, dtype=">u2")
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{power.shape[1]} {power.shape[0]}\n65535\n".encode("ascii"))
-        fh.write(img.tobytes())
     g = smap.grid
-    with open(str(path) + ".meta", "w") as fh:
-        fh.write(f"scale={peak / 65535.0 if peak > 0 else 0.0:.17g}\n")
-        fh.write(f"l_min={g.l_min:.17g}\nl_max={g.l_max:.17g}\n")
-        fh.write(f"m_min={g.m_min:.17g}\nm_max={g.m_max:.17g}\n")
-        fh.write(f"kind={smap.kind}\nalpha_hz={smap.alpha:.17g}\n")
+    pgm = f"P5\n{power.shape[1]} {power.shape[0]}\n65535\n".encode() + img.tobytes()
+    meta = (f"scale={peak / 65535.0 if peak > 0 else 0.0:.17g}\n"
+            f"l_min={g.l_min:.17g}\nl_max={g.l_max:.17g}\n"
+            f"m_min={g.m_min:.17g}\nm_max={g.m_max:.17g}\n"
+            f"kind={smap.kind}\nalpha_hz={smap.alpha:.17g}\n")
+    return pgm, meta.encode()

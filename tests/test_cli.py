@@ -2,6 +2,8 @@ import copy
 import filecmp
 import hashlib
 import json
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -392,6 +394,7 @@ class TestRun:
         for path in spectra:
             assert path.read_bytes() == reference_spectrum_csv(parsed_spectrum(path)), path
 
+        assert not imaging._operator_cache  # freed when the run ends
         sched = json.loads((out / "schedule.json").read_text())
         assert len(sched["slots"]) == 4
         flags = np.loadtxt(out / "flagmask.csv", delimiter=",", dtype=int)
@@ -475,6 +478,57 @@ class TestRun:
         for name in ("manifest.json", "schedule.json", "flagmask.csv",
                      "tracks/frame_0001.json"):
             assert not (out / name).exists(), name
+
+    def test_failed_write_stops_the_run(self, scenario, tmp_path, monkeypatch):
+        # A map write fails on the writer thread; the run exits 3 before
+        # that frame's log, and no thread outlives `main`.
+        threads = threading.active_count()
+        assert main(["run", "--config", str(scenario), "--out", str(tmp_path / "ok")]) == 0
+        assert threading.active_count() == threads
+        render = imaging.skymap_csv
+        classical = []
+
+        def fail_on_frame_1(smap):
+            if smap.kind == "classical":
+                classical.append(smap)
+                if len(classical) == 2:
+                    raise OSError("injected write failure")
+            return render(smap)
+
+        monkeypatch.setattr(imaging, "skymap_csv", fail_on_frame_1)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(scenario), "--out", str(out)]) == 3
+        assert threading.active_count() == threads
+        assert (out / "tracks" / "frame_0000.json").exists()
+        for name in ("tracks/frame_0001.json", "manifest.json", "schedule.json"):
+            assert not (out / name).exists(), name
+
+    def test_frame_log_follows_its_files(self, scenario, tmp_path, monkeypatch):
+        # Each frame's maps and spectra are complete when its log is written.
+        # Slow PGM rendering makes a log written before its join miss files.
+        log, pgm = tracking.write_frame_log, imaging.skymap_pgm
+        out = tmp_path / "out"
+        seen = {}
+
+        def sizes(frame):
+            return {p.relative_to(out): p.stat().st_size for sub in ("skymaps", "spectra")
+                    for p in (out / sub).glob(f"{frame}_*")}
+
+        def slow_pgm(smap):
+            time.sleep(0.05)
+            return pgm(smap)
+
+        def sizes_then_log(record, path):
+            seen[path.stem] = sizes(path.stem)
+            log(record, path)
+
+        monkeypatch.setattr(imaging, "skymap_pgm", slow_pgm)
+        monkeypatch.setattr(tracking, "write_frame_log", sizes_then_log)
+        assert main(["run", "--config", str(scenario), "--out", str(out)]) == 0
+        assert sorted(seen) == ["frame_0000", "frame_0001"]
+        for frame, at_log in seen.items():
+            assert len(at_log) == 8, frame  # 2 maps x 3 files, 2 spectra
+            assert at_log == sizes(frame), frame
 
     def test_rerun_with_fewer_frames_leaves_no_stale_frames(self, tmp_path):
         def frames_doc(n_frames):

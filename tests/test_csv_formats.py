@@ -1,18 +1,16 @@
-"""Skymap and spectrum CSV files: exact bytes, and values that np.loadtxt
+"""Skymap and spectrum CSV text: exact bytes, and values that np.loadtxt
 reads back bit-exactly."""
 
 import math
-import tempfile
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cyclosky.cyclospec import CyclicSpectrum, write_spectrum_csv
-from cyclosky.imaging import Skymap, SkymapGrid, write_skymap_csv
+from cyclosky.cyclospec import CyclicSpectrum, spectrum_csv
+from cyclosky.imaging import Skymap, SkymapGrid, skymap_csv
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308,
            -1e308, np.finfo(float).max, np.nan, np.inf, -np.inf, 0.1, 1 / 3]
@@ -28,7 +26,7 @@ def ulps_around(x, n=2):
     return out
 
 
-# The writers print zeros and |x| in [1e-4, 1e17) in fixed notation from
+# The renderers print zeros and |x| in [1e-4, 1e17) in fixed notation from
 # exact products, and hand every other value to `%`. Their edges: 1-2 ulp
 # around each power of ten from 1e-5 to 1e18 (just below one, log10 reads
 # the next decade), e-05 values, and the bounds themselves.
@@ -82,7 +80,7 @@ def reference_spectrum_csv(spec):
 
 
 def map_of(power, alpha=0.0):
-    # A grid has at least 2 pixels per axis; the writer writes the power it
+    # A grid has at least 2 pixels per axis; the renderer prints the power it
     # holds, so one-row and one-column maps test the row layout alone.
     grid = SkymapGrid(-0.5, 0.75, -1.0, 1.0, *np.maximum(power.shape, 2))
     return Skymap(grid, power, "conjugate_cyclic", alpha)
@@ -99,13 +97,6 @@ def spectrum_columns(elements):
                             arrays(np.float64, n, elements=elements)))
 
 
-def written(write, obj):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "out.csv"
-        write(obj, path)
-        return path.read_bytes()
-
-
 class TestSkymapCsv:
     @settings(max_examples=80, deadline=None)
     @given(power=map_power(ANY_FLOAT), alpha=FINITE_FLOAT)
@@ -116,12 +107,12 @@ class TestSkymapCsv:
     @example(power=LARGE_MAP, alpha=125000.0)
     def test_bytes_match_per_value_formatter(self, power, alpha):
         smap = map_of(power, alpha)
-        assert written(write_skymap_csv, smap) == reference_skymap_csv(smap)
+        assert skymap_csv(smap) == reference_skymap_csv(smap)
 
     @settings(max_examples=60, deadline=None)
     @given(power=map_power(FINITE_FLOAT))
     def test_round_trip(self, power):
-        lines = written(write_skymap_csv, map_of(power, 7.5)).decode().splitlines()
+        lines = skymap_csv(map_of(power, 7.5)).decode().splitlines()
         assert lines[0] == ("# kind=conjugate_cyclic alpha_hz=7.5"
                             " l_min=-0.5 l_max=0.75 m_min=-1 m_max=1")
         assert np.array_equal(np.loadtxt(lines[1:], delimiter=",", ndmin=2), power)
@@ -138,14 +129,14 @@ class TestSpectrumCsv:
              conjugate=True)
     def test_bytes_match_per_value_formatter(self, columns, conjugate):
         spec = CyclicSpectrum(*columns, conjugate)
-        assert written(write_spectrum_csv, spec) == reference_spectrum_csv(spec)
+        assert spectrum_csv(spec) == reference_spectrum_csv(spec)
 
     @settings(max_examples=60, deadline=None)
     @given(columns=spectrum_columns(FINITE_FLOAT), conjugate=st.booleans())
     @example(columns=(np.array([1.5]), np.array([2.5])), conjugate=True)
     def test_round_trip(self, columns, conjugate):
         spec = CyclicSpectrum(*columns, conjugate)
-        lines = written(write_spectrum_csv, spec).decode().splitlines()
+        lines = spectrum_csv(spec).decode().splitlines()
         assert lines[:2] == ["# conjugate=true" if conjugate else "# conjugate=false",
                              "alpha_hz,magnitude"]
         alphas, mags = np.loadtxt(lines[2:], delimiter=",", ndmin=2, unpack=True)

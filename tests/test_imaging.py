@@ -3,12 +3,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cyclosky import imaging
+from cyclosky import cli, imaging
 from cyclosky.arraysim import (C_LIGHT, ArrayGeometry, ArraySnapshot,
                                DirectionLM, default_geometry, steering_vector)
 from cyclosky.cyclospec import CyclicCorrMatrix, cyclic_corr_matrix
-from cyclosky.imaging import (Skymap, SkymapGrid, cyclic_skymap, locate_peaks,
-                              skymap, write_skymap_csv, write_skymap_pgm)
+from cyclosky.imaging import Skymap, SkymapGrid, cyclic_skymap, locate_peaks, skymap
 
 
 @pytest.fixture
@@ -119,7 +118,7 @@ def any_map(matrix, geom, grid):
 
 def rebuilt_map(matrix, geom, grid):
     """The map from an operator built for this call alone."""
-    imaging._operator_cache.clear()
+    imaging.release_operator()
     return any_map(matrix, geom, grid)
 
 
@@ -197,6 +196,8 @@ class TestOperatorCache:
                     arr[0, 0] = 0
             imaging._operator(default_geometry(16, 1.42e9, seed=3), grid)
             assert len(imaging._operator_cache) == 1
+            imaging.release_operator()
+            assert not imaging._operator_cache
 
 
 @st.composite
@@ -385,24 +386,22 @@ class TestExports:
     def test_csv_roundtrip(self, geom, grid, tmp_path):
         d = on_grid_direction(grid, 12, 50)
         smap = skymap(point_source_cov(geom, d), geom, grid)
-        path = tmp_path / "map.csv"
-        write_skymap_csv(smap, path)
-        lines = path.read_text().splitlines()
+        cli._write_skymap(smap, tmp_path / "map")
+        lines = (tmp_path / "map.csv").read_text().splitlines()
         assert lines[0] == "# kind=classical alpha_hz=0 l_min=-1 l_max=1 m_min=-1 m_max=1"
         assert np.array_equal(np.loadtxt(lines[1:], delimiter=","), smap.power)
 
     def test_pgm_roundtrip(self, geom, grid, tmp_path):
         d = on_grid_direction(grid, 12, 50)
         smap = skymap(point_source_cov(geom, d), geom, grid)
-        path = tmp_path / "map.pgm"
-        write_skymap_pgm(smap, path)
+        cli._write_skymap(smap, tmp_path / "map")
         header = f"P5\n{grid.n_m} {grid.n_l}\n65535\n".encode()
-        data = path.read_bytes()
+        data = (tmp_path / "map.pgm").read_bytes()
         assert data.startswith(header)
         img = np.frombuffer(data[len(header):], dtype=">u2").reshape(grid.n_l, grid.n_m)
         peak = smap.power.max()
         assert np.array_equal(img, np.rint(smap.power / peak * 65535))
-        with open(str(path) + ".meta") as fh:
-            assert fh.read().splitlines() == [
-                f"scale={peak / 65535:.17g}", "l_min=-1", "l_max=1", "m_min=-1",
-                "m_max=1", "kind=classical", "alpha_hz=0"]
+        # Written in binary mode: "\n" line ends on every platform.
+        assert (tmp_path / "map.pgm.meta").read_bytes() == (
+            f"scale={peak / 65535:.17g}\nl_min=-1\nl_max=1\nm_min=-1\n"
+            "m_max=1\nkind=classical\nalpha_hz=0\n").encode()
