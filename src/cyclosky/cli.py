@@ -62,8 +62,7 @@ SCHEMA = {
         "seed": (int, 0, *NON_NEGATIVE), "scene": ("scene", REQUIRED),
         "frames": ("frames", {}), "analysis": ("analysis", {}),
         "skymap": ("skymap", {}), "tracker": ("tracker", {}), "site": ("site", {}),
-        "programs": (["program"], []), "scheduler": ("scheduler", {}),
-        "output": ("output", {})},
+        "programs": (["program"], []), "scheduler": ("scheduler", {})},
     "scene": {
         "n_antennas": (int, None, lambda v: v >= 2, "need at least 2 antennas"),
         "aperture_wavelengths": (float, 6.0, *POSITIVE),
@@ -118,7 +117,6 @@ SCHEMA = {
                  "f_hi_hz": (float, REQUIRED)},
     "channels": {"f_start_hz": (float, REQUIRED), "channel_width_hz": (float, REQUIRED),
                  "n_channels": (int, REQUIRED)},
-    "output": {"directory": (str, "out")},
 }
 
 _TYPE_NAMES = {int: "an integer", float: "a number",
@@ -183,7 +181,7 @@ def _direction(raw, path):
 class ScenarioConfig:
     """Validated scenario; holds constructed domain objects."""
 
-    def __init__(self, doc, seed_override=None, mode_override=None):
+    def __init__(self, doc, seed_override=None):
         doc = _section(doc, "scenario", "")
         if seed_override is not None:  # --seed takes the key's own check
             doc["seed"] = _typed(seed_override, int, "seed",
@@ -265,7 +263,7 @@ class ScenarioConfig:
                      f"{pid} is also programs[{ids.index(pid)}].id")
 
         sched = doc["scheduler"]
-        self.mode = mode_override or sched["mode"]
+        self.mode = sched["mode"]
         self.horizon = sched["horizon_slots"]
         if self.mode == "exact":
             _require(self.horizon <= scheduling.EXACT_MAX_SLOTS,
@@ -291,14 +289,13 @@ class ScenarioConfig:
         self.channels = None if channels is None else _build(
             "scheduler.channels", scheduling.ChannelGrid, channels["f_start_hz"],
             channels["channel_width_hz"], channels["n_channels"])
-        self.out_dir = doc["output"]["directory"]
 
     def scene(self):
         return arraysim.Scene(self.geometry, self.sources, self.n_samples,
                               self.sample_rate, self.system_noise_power, self.seed)
 
 
-def load_scenario(path, seed_override=None, mode_override=None) -> ScenarioConfig:
+def load_scenario(path, seed_override=None) -> ScenarioConfig:
     """The scenario at `path`, with `config_sha256` of the bytes it was read
     from (the file is read once, so the manifest hashes what ran)."""
     try:
@@ -309,7 +306,7 @@ def load_scenario(path, seed_override=None, mode_override=None) -> ScenarioConfi
         doc = json.loads(data)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"scenario is not valid JSON: {exc}")
-    cfg = ScenarioConfig(doc, seed_override, mode_override)
+    cfg = ScenarioConfig(doc, seed_override)
     cfg.config_sha256 = hashlib.sha256(data).hexdigest()
     return cfg
 
@@ -319,6 +316,11 @@ def _require_finite(values, what, frame_idx):
     bad = np.count_nonzero(~np.isfinite(values))
     if bad:
         raise ValueError(f"frame {frame_idx}: {what} has {bad} non-finite entries")
+
+
+def _write_json(doc, path):
+    """Strict JSON: a NaN or infinity raises ValueError and writes no file."""
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _write_skymap(smap, stem):
@@ -404,12 +406,10 @@ def run_pipeline(cfg: ScenarioConfig, out_dir):
     scene = cfg.scene()
     snap = arraysim.synthesize(scene)
     np.save(out / "snapshot.npy", snap.data)
-    with open(out / "snapshot_meta.json", "w") as fh:
-        json.dump({"sample_rate_hz": snap.sample_rate, "t0_s": snap.t0,
-                   "positions_m": cfg.geometry.positions.tolist(),
-                   "reference_freq_hz": cfg.geometry.f0, "seed": cfg.seed},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json({"sample_rate_hz": snap.sample_rate, "t0_s": snap.t0,
+                 "positions_m": cfg.geometry.positions.tolist(),
+                 "reference_freq_hz": cfg.geometry.f0, "seed": cfg.seed},
+                out / "snapshot_meta.json")
 
     tracker = tracking.Tracker(cfg.tracker_cfg)
     # One writer thread renders and writes each frame's maps and spectra while
@@ -441,24 +441,16 @@ def run_pipeline(cfg: ScenarioConfig, out_dir):
     _plan(cfg, tracker.tracks, out)
 
 
-def _write_manifest(cfg, out_dir):
-    manifest = {
+def _cmd_run(args, cfg):
+    run_pipeline(cfg, args.out)
+    _write_json({
         "config_sha256": cfg.config_sha256,
         "seed": cfg.seed,
         "mode": cfg.mode,
         "versions": {"cyclosky": __version__, "numpy": np.__version__,
                      "python": sys.version.split()[0]},
         "generated_at": datetime.now(timezone.utc).isoformat(),
-    }
-    with open(Path(out_dir) / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _cmd_run(args, cfg):
-    out_dir = args.out or cfg.out_dir
-    run_pipeline(cfg, out_dir)
-    _write_manifest(cfg, out_dir)
+    }, Path(args.out) / "manifest.json")
 
 
 def _cmd_validate(args, cfg):
@@ -470,16 +462,13 @@ def _cmd_skymap(args, cfg):
     meta_path = Path(args.snapshot) / "snapshot_meta.json"
     with open(meta_path) as fh:
         meta = json.load(fh)
-    # Image with the array that recorded the snapshot, not the one the
-    # scenario and --seed would build now.
+    # Image with the array that recorded the snapshot: the run's --seed may
+    # have built another array than the scenario builds now.
     missing = [k for k in ("positions_m", "reference_freq_hz", "seed",
                            "sample_rate_hz", "t0_s") if k not in meta]
     if missing:
         raise ValueError(f"{meta_path} lacks {', '.join(missing)};"
                          " rerun `cyclosky run` to record the snapshot")
-    if args.seed is not None and args.seed != meta["seed"]:
-        raise ValueError(f"{meta_path} was made with seed {meta['seed']},"
-                         f" not --seed {args.seed}")
     geom = arraysim.ArrayGeometry(np.array(meta["positions_m"], dtype=float),
                                   meta["reference_freq_hz"])
     try:
@@ -517,9 +506,8 @@ def build_parser():
 
     run = sub.add_parser("run", help="run the full pipeline on a scenario")
     run.add_argument("--config", required=True)
-    run.add_argument("--out", help="output directory (default: scenario's)")
+    run.add_argument("--out", required=True)
     run.add_argument("--seed", type=int, help="override the scenario seed")
-    run.add_argument("--mode", choices=["greedy", "exact"])
     run.set_defaults(func=_cmd_run)
 
     val = sub.add_parser("validate", help="validate a scenario file")
@@ -533,15 +521,12 @@ def build_parser():
     sky.add_argument("--alpha", type=float,
                      help="cyclic frequency (omit for classical map)")
     sky.add_argument("--conjugate", action="store_true")
-    sky.add_argument("--seed", type=int,
-                     help="must match the seed the snapshot was made with")
     sky.add_argument("--out", required=True)
     sky.set_defaults(func=_cmd_skymap)
 
     sch = sub.add_parser("schedule", help="plan from a saved track log")
     sch.add_argument("--config", required=True)
     sch.add_argument("--tracks", required=True, help="a frame log JSON file")
-    sch.add_argument("--mode", choices=["greedy", "exact"])
     sch.add_argument("--out", required=True)
     sch.set_defaults(func=_cmd_schedule)
     return parser
@@ -554,8 +539,7 @@ def main(argv=None) -> int:
     if args.command == "skymap" and args.conjugate and args.alpha is None:
         parser.error("skymap --conjugate needs --alpha; a classical map has no conjugate")
     try:
-        cfg = load_scenario(args.config, getattr(args, "seed", None),
-                            getattr(args, "mode", None))
+        cfg = load_scenario(args.config, getattr(args, "seed", None))
         args.func(args, cfg)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)

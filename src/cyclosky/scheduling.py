@@ -297,6 +297,7 @@ def flag_mask(tracks, sched: Schedule, site: SiteModel, cfg: SchedulerConfig,
 
 
 def write_schedule_json(sched: Schedule, path):
+    """Strict JSON: a NaN or infinity raises ValueError and writes no file."""
     slots = [{"slot": slot, "program": pid, "risk": risk,
               "pointing": None if pos is None else [pos.l, pos.m]}
              for slot, (pid, pos, risk) in enumerate(
@@ -306,9 +307,9 @@ def write_schedule_json(sched: Schedule, path):
            "starts": {str(k): v for k, v in sorted(sched.starts.items())},
            "unscheduled": sched.unscheduled,
            "diagnostics": sched.diagnostics}
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def write_flag_mask_csv(mask: FlagMask, path):

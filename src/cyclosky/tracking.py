@@ -17,15 +17,19 @@ SLOW = "slow"
 FAST = "fast"
 UNCLASSIFIED = "unclassified"
 
+# A classified track's gate is max(GATE_SIGMA * prediction radius, gate_min)
+# around its prediction; a track that misses more than DROP_AFTER frames in
+# a row is retired.
+GATE_SIGMA = 3.0
+DROP_AFTER = 5
+
 
 @dataclass
 class TrackerConfig:
     s_stat: float = 1e-5      # below: stationary, in /s
     s_fast: float = 5e-3      # above: fast
     gate_min: float = 0.01
-    gate_sigma: float = 3.0   # gate = gate_sigma * prediction uncertainty
     alpha_tol: float = 1.0    # Hz; typically one alpha-grid step
-    drop_after: int = 5       # frames a track may go unmatched
     min_points: int = 5
 
 
@@ -137,7 +141,7 @@ def predict(track: RfiTrack, t: float) -> Prediction:
 def _gate_and_prediction(track: RfiTrack, frame_time: float, cfg: TrackerConfig):
     if track.track_class != UNCLASSIFIED:
         pred = predict(track, frame_time)
-        gate = max(cfg.gate_sigma * pred.radius, cfg.gate_min)
+        gate = max(GATE_SIGMA * pred.radius, cfg.gate_min)
         return pred.direction, gate
     # Immature track: last observed position, minimum gate.
     return track.history[-1][1], cfg.gate_min
@@ -199,7 +203,7 @@ class Tracker:
             if tr.id not in matched:
                 tr.misses += 1
         self.tracks = [tr for tr in self.tracks
-                       if tr.misses <= cfg.drop_after] + new_tracks
+                       if tr.misses <= DROP_AFTER] + new_tracks
         return self.tracks
 
     def frame_record(self, frame_time) -> dict:
@@ -222,9 +226,10 @@ class Tracker:
 
 
 def write_frame_log(record: dict, path):
+    """Strict JSON: a NaN or infinity raises ValueError and writes no file."""
+    text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with open(path, "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def tracks_from_record(record: dict):

@@ -50,7 +50,6 @@ SMALL_SCENARIO = {
         "channels": {"f_start_hz": 1.419e9, "channel_width_hz": 2.5e5,
                      "n_channels": 8},
     },
-    "output": {"directory": "out"},
 }
 
 
@@ -210,6 +209,9 @@ BAD_SCENARIOS = [
     ("tracker.alpha_tol_hz", (("tracker", "alpha_tol_hz"), 1e6 / 1024)),
     # A count that disagrees with the positions was ignored.
     ("scene.n_antennas", (("scene", "positions_m"), [[0, 0], [30, 0], [0, 40]])),
+    # The gate's sigma is a constant, and --out alone sets where a run writes.
+    ("tracker.gate_sigma", (("tracker", "gate_sigma"), 3.0)),
+    ("output", (("output",), {"directory": "out"})),
 ]
 
 
@@ -238,19 +240,6 @@ class TestBadScenarios:
         exact_mode(doc, horizon=12, programs=6)
         assert main(["validate", "--config", str(write_scenario(tmp_path, doc))]) == 0
 
-    def test_mode_override_applies_exact_limits(self, tmp_path, capsys):
-        doc = copy.deepcopy(SMALL_SCENARIO)
-        doc["scheduler"]["horizon_slots"] = 13
-        path = write_scenario(tmp_path, doc)
-        assert main(["validate", "--config", str(path)]) == 0
-        for command in (["run", "--out", str(tmp_path / "out")],
-                        ["schedule", "--tracks", "none.json",
-                         "--out", str(tmp_path / "out")]):
-            assert main(command + ["--config", str(path), "--mode", "exact"]) == 2
-            assert ("scenario error: scheduler.horizon_slots"
-                    in capsys.readouterr().err)
-        assert not (tmp_path / "out").exists()
-
     def test_negative_seed_override(self, scenario, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["run", "--config", str(scenario), "--seed", "-1",
@@ -258,11 +247,28 @@ class TestBadScenarios:
         assert "scenario error: seed: " in capsys.readouterr().err
         assert not out.exists()
 
-    def test_validate_only_is_gone(self, scenario, capsys):
+    def test_validate_only_is_gone(self, scenario, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["run", "--config", str(scenario), "--validate-only"])
+            main(["run", "--config", str(scenario), "--out", str(tmp_path / "out"),
+                  "--validate-only"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --validate-only" in capsys.readouterr().err
+
+    # The scenario alone sets the scheduler mode, a snapshot records its own
+    # seed, and --out alone sets where a run writes.
+    @pytest.mark.parametrize("command,message", [
+        (["run", "--out", "out", "--mode", "exact"], "unrecognized arguments: --mode"),
+        (["schedule", "--tracks", "log.json", "--out", "out", "--mode", "exact"],
+         "unrecognized arguments: --mode"),
+        (["skymap", "--snapshot", "run", "--out", "out", "--seed", "7"],
+         "unrecognized arguments: --seed"),
+        (["run"], "required: --out"),
+    ], ids=["run-mode", "schedule-mode", "skymap-seed", "run-without-out"])
+    def test_removed_options_are_refused(self, scenario, capsys, command, message):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--config", str(scenario)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestDefaults:
@@ -301,8 +307,8 @@ class TestDefaults:
         assert (cfg.max_detections, cfg.max_peaks) == (3, 2)
         assert cfg.skymap_grid == imaging.SkymapGrid(-1.0, 1.0, -1.0, 1.0, 128, 128)
         assert cfg.tracker_cfg == tracking.TrackerConfig(
-            s_stat=1e-5, s_fast=5e-3, gate_min=0.01, gate_sigma=3.0,
-            alpha_tol=1e6 / 512, drop_after=5, min_points=5)
+            s_stat=1e-5, s_fast=5e-3, gate_min=0.01, alpha_tol=1e6 / 512,
+            min_points=5)
         assert cfg.site == scheduling.SiteModel(0.0, 600.0, 0.0)
         assert cfg.programs == [scheduling.Program(
             3, np.deg2rad(90.0), np.deg2rad(-45.0), (1e9, 2e9), 2, 1.0)]
@@ -311,7 +317,6 @@ class TestDefaults:
             lam=1.0, risk_cap=0.5, exclusion_radius=0.1,
             bands={1e5: (1e9, 1.1e9)}, band_alpha_tol=1e6 / 512)
         assert cfg.channels == scheduling.ChannelGrid(1e9, 1e6, 4)
-        assert cfg.out_dir == "out"
         for value in (cfg.sources[0].snr_db, cfg.site.slot_length,
                       cfg.programs[0].priority, cfg.tracker_cfg.alpha_tol):
             assert type(value) is float
@@ -605,13 +610,6 @@ class TestSkymapCommand:
         assert abs(cfg.skymap_grid.l_axis()[i] - 0.4) < 0.1
         assert abs(cfg.skymap_grid.m_axis()[j] + 0.3) < 0.1
 
-    def test_snapshot_seed_mismatch_is_runtime_error(self, scenario, tmp_path, capsys):
-        run_out = tmp_path / "run_out"
-        assert main(["run", "--config", str(scenario), "--out", str(run_out)]) == 0
-        assert main(["skymap", "--config", str(scenario), "--snapshot", str(run_out),
-                     "--seed", "8", "--out", str(tmp_path / "sky")]) == 3
-        assert "seed 7" in capsys.readouterr().err
-
     @pytest.mark.parametrize("key", ["positions_m", "reference_freq_hz", "seed",
                                      "sample_rate_hz", "t0_s"])
     def test_snapshot_without_geometry_is_runtime_error(self, scenario, tmp_path,
@@ -743,10 +741,14 @@ class TestScheduleCommand:
         assert not (sch_out / "schedule.json").exists()
 
     def test_mode_override_exact(self, scenario, tmp_path):
+        # The scenario is the one place that sets the scheduler mode.
         run_out = tmp_path / "run_out"
         assert main(["run", "--config", str(scenario), "--out", str(run_out)]) == 0
         logs = sorted(run_out.glob("tracks/frame_*.json"))
+        doc = copy.deepcopy(SMALL_SCENARIO)
+        doc["scheduler"]["mode"] = "exact"
+        exact = write_scenario(tmp_path, doc, "exact.json")
         sch_out = tmp_path / "sch"
-        assert main(["schedule", "--config", str(scenario),
-                     "--tracks", str(logs[-1]), "--mode", "exact",
-                     "--out", str(sch_out)]) == 0
+        assert main(["schedule", "--config", str(exact),
+                     "--tracks", str(logs[-1]), "--out", str(sch_out)]) == 0
+        assert len(json.loads((sch_out / "schedule.json").read_text())["slots"]) == 4

@@ -286,6 +286,13 @@ class TestSerialization:
         assert doc["objective"] == sched.objective
         assert [s["risk"] for s in slots] == sched.risk
 
+    def test_non_finite_schedule_writes_no_file(self, tmp_path):
+        sched = Schedule([None], [None], [float("nan")], float("nan"), 0.0, {}, [])
+        path = tmp_path / "schedule.json"
+        with pytest.raises(ValueError, match="JSON compliant"):
+            write_schedule_json(sched, path)
+        assert not path.exists()
+
     def test_flag_mask_csv_roundtrip(self, tmp_path):
         flags = np.zeros((4, 6), dtype=bool)
         flags[1, 2] = flags[3, 5] = True

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cyclosky.arraysim import DirectionLM
-from cyclosky.tracking import (FAST, SLOW, STATIONARY, UNCLASSIFIED, Detection,
-                               MotionFit, RfiTrack, Tracker, TrackerConfig,
+from cyclosky.tracking import (DROP_AFTER, FAST, SLOW, STATIONARY, UNCLASSIFIED,
+                               Detection, MotionFit, RfiTrack, Tracker, TrackerConfig,
                                TrackStats, classify, fit_motion, predict,
                                tracks_from_record, write_frame_log)
 
@@ -153,12 +153,12 @@ class TestAssociate:
         assert len(tr.tracks) == 2
 
     def test_missed_track_retired(self):
-        tr = Tracker(TrackerConfig(drop_after=2))
+        tr = Tracker()
         tr.step([det(0.0, 0.1, 0.1)])
-        for k in range(1, 3):
+        for k in range(1, DROP_AFTER + 1):
             tr.step([], frame_time=float(k))
-        assert [t.misses for t in tr.tracks] == [2]
-        tr.step([], frame_time=3.0)
+        assert [t.misses for t in tr.tracks] == [DROP_AFTER]
+        tr.step([], frame_time=DROP_AFTER + 1.0)
         assert tr.tracks == []
 
     def test_mixed_frame_times_rejected(self):
@@ -231,6 +231,12 @@ class TestFrameLog:
         p_back = predict(rebuilt[0], 15.0)
         assert p_back.direction.l == pytest.approx(p_orig.direction.l, abs=1e-12)
         assert p_back.radius == pytest.approx(p_orig.radius, abs=1e-12)
+
+    def test_non_finite_log_writes_no_file(self, tmp_path):
+        path = tmp_path / "frame.json"
+        with pytest.raises(ValueError, match="JSON compliant"):
+            write_frame_log({"time": float("nan"), "tracks": []}, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
     @pytest.mark.parametrize("field", ["power", "dl_dt", "position"])
