@@ -5,6 +5,8 @@ antenna voltages, geometry entering as a pure phase at the reference
 frequency. Moving sources use block-constant directions.
 """
 
+import copy
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +18,10 @@ C_LIGHT = 299792458.0
 # Moving sources hold their direction constant over blocks of this many
 # samples, evaluated at the block center.
 MOTION_BLOCK = 256
+# Samples per row block of the noise draw or column block of a static source.
+BLOCK_SAMPLES = 2 ** 16
+# Noise blocks in flight between the drawing thread and the caller.
+NOISE_BUFFERS = 8
 
 KIND_ASTRO = "astro"
 KIND_BPSK = "bpsk"
@@ -132,6 +138,13 @@ class ArraySnapshot:
     def n_samples(self) -> int:
         return self.data.shape[1]
 
+    def frame(self, lo, hi) -> "ArraySnapshot":
+        """Samples lo:hi in this snapshot's memory, not checked again."""
+        out = copy.copy(self)
+        out.data = self.data[:, lo:hi]
+        out.t0 = self.t0 + lo / self.sample_rate
+        return out
+
 
 def steering_vector(geom: ArrayGeometry, direction: DirectionLM) -> np.ndarray:
     """Unit-modulus phase pattern of a plane wave from `direction`."""
@@ -175,30 +188,49 @@ def _source_waveform(src: SourceSpec, scene: Scene, index: int) -> np.ndarray:
 
 
 def synthesize(scene: Scene) -> ArraySnapshot:
-    """Sum of steered source waveforms plus i.i.d. system noise."""
+    """Sum of steered source waveforms plus i.i.d. system noise.
+
+    The noise is one PCG64 stream through numpy's ziggurat, whose rejection
+    step lets the values drawn decide how much stream each takes, so one
+    thread draws it, in row blocks, while this one steers the sources; each
+    block is then added in draw order. No M x N temporary is made."""
     geom = scene.geometry
     m = geom.n_antennas
     n = scene.n_samples
     data = np.zeros((m, n), dtype=np.complex128)
-    for index, src in enumerate(scene.sources):
-        wave = _source_waveform(src, scene, index)
-        traj = src.direction
-        block = MOTION_BLOCK
-        if isinstance(traj, DirectionLM):
-            # A static source is steered once over the whole record.
-            traj, block = TrajectorySpec(traj), n
-        # Reject trajectories that set below the horizon mid-scene.
-        traj.position(scene.t0)
-        traj.position(scene.t0 + n / scene.sample_rate)
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            tc = scene.t0 + (start + stop) / 2.0 / scene.sample_rate
-            a = steering_vector(geom, traj.position(tc))
-            data[:, start:stop] += a[:, None] * wave[None, start:stop]
-    if scene.system_noise_power > 0:
-        rng = np.random.default_rng(_noise_seed(scene.seed))
-        scale = np.sqrt(scene.system_noise_power / 2.0)
-        # Real parts first: the draw order fixes each seed's noise.
-        data.real += scale * rng.standard_normal((m, n))
-        data.imag += scale * rng.standard_normal((m, n))
+    rows = max(1, BLOCK_SAMPLES // n)
+    # Real parts first: the draw order fixes each seed's noise.
+    blocks = [(part, lo, min(lo + rows, m))
+              for part in (data.real, data.imag) if scene.system_noise_power > 0
+              for lo in range(0, m, rows)]
+    k = min(NOISE_BUFFERS, len(blocks))
+    bufs = np.empty((k, rows, n))
+    outs = [bufs[i % k, :hi - lo] for i, (_, lo, hi) in enumerate(blocks)]
+    rng = np.random.default_rng(_noise_seed(scene.seed))
+    scale = np.sqrt(scene.system_noise_power / 2.0)
+    # The pool's one thread draws the blocks in the order they are submitted,
+    # at most k ahead of the adds. On an error, the `with` waits for those.
+    with ThreadPoolExecutor(1) as pool:
+        draws = [pool.submit(rng.standard_normal, out=out) for out in outs[:k]]
+        for index, src in enumerate(scene.sources):
+            wave = _source_waveform(src, scene, index)
+            traj = src.direction
+            block = MOTION_BLOCK
+            if isinstance(traj, DirectionLM):
+                # A static source: column blocks of about BLOCK_SAMPLES.
+                traj, block = TrajectorySpec(traj), max(1, BLOCK_SAMPLES // m)
+            # Reject trajectories that set below the horizon mid-scene.
+            traj.position(scene.t0)
+            traj.position(scene.t0 + n / scene.sample_rate)
+            for start in range(0, n, block):
+                stop = min(start + block, n)
+                tc = scene.t0 + (start + stop) / 2.0 / scene.sample_rate
+                a = steering_vector(geom, traj.position(tc))
+                data[:, start:stop] += a[:, None] * wave[None, start:stop]
+        for i, (part, lo, hi) in enumerate(blocks):
+            draws[i].result()  # re-raises a failed draw here
+            outs[i] *= scale
+            part[lo:hi] += outs[i]
+            if i + k < len(blocks):
+                draws.append(pool.submit(rng.standard_normal, out=outs[i + k]))
     return ArraySnapshot(data, scene.sample_rate, scene.t0)

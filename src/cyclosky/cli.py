@@ -420,11 +420,8 @@ def run_pipeline(cfg: ScenarioConfig, out_dir):
     # calls none of the functions it wraps (no `write_*`, no `np.save`).
     with ThreadPoolExecutor(1) as writer:
         for idx in range(cfg.n_frames):
-            lo = idx * cfg.frame_length
-            hi = lo + cfg.frame_length
-            frame_time = snap.t0 + lo / snap.sample_rate
-            frame = arraysim.ArraySnapshot(snap.data[:, lo:hi], snap.sample_rate,
-                                           frame_time)
+            frame = snap.frame(idx * cfg.frame_length, (idx + 1) * cfg.frame_length)
+            frame_time = frame.t0
             writes = []
             detections = _analyze_frame(
                 cfg, frame, out, idx, lambda *task: writes.append(writer.submit(*task)))
@@ -464,8 +461,8 @@ def _cmd_skymap(args, cfg):
         meta = json.load(fh)
     # Image with the array that recorded the snapshot: the run's --seed may
     # have built another array than the scenario builds now.
-    missing = [k for k in ("positions_m", "reference_freq_hz", "seed",
-                           "sample_rate_hz", "t0_s") if k not in meta]
+    missing = [k for k in ("positions_m", "reference_freq_hz", "sample_rate_hz",
+                           "t0_s") if k not in meta]
     if missing:
         raise ValueError(f"{meta_path} lacks {', '.join(missing)};"
                          " rerun `cyclosky run` to record the snapshot")

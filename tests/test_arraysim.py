@@ -164,3 +164,15 @@ class TestSnapshot:
         data[2, 9] = bad
         with pytest.raises(ValueError, match="2 non-finite samples"):
             ArraySnapshot(data, 1e6)
+
+    def test_frame_shares_parent_memory(self):
+        snap = ArraySnapshot(np.arange(3 * 64).reshape(3, 64) + 1j, 1e6, t0=2.0)
+        frame = snap.frame(16, 48)
+        assert np.shares_memory(frame.data, snap.data)
+        assert np.array_equal(frame.data, snap.data[:, 16:48])
+        assert (frame.sample_rate, frame.t0) == (1e6, 2.0 + 16 / 1e6)
+        # The constructor still checks the samples it is given.
+        frame.data[1, 0] = np.nan
+        assert np.isnan(snap.data[1, 16])
+        with pytest.raises(ValueError, match="1 non-finite samples"):
+            ArraySnapshot(frame.data, 1e6)

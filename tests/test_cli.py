@@ -610,7 +610,23 @@ class TestSkymapCommand:
         assert abs(cfg.skymap_grid.l_axis()[i] - 0.4) < 0.1
         assert abs(cfg.skymap_grid.m_axis()[j] + 0.3) < 0.1
 
-    @pytest.mark.parametrize("key", ["positions_m", "reference_freq_hz", "seed",
+    def test_snapshot_without_seed_gives_same_skymap(self, scenario, tmp_path):
+        # The snapshot records its seed, but `skymap` reads only its geometry.
+        run_out = tmp_path / "run_out"
+        assert main(["run", "--config", str(scenario), "--out", str(run_out)]) == 0
+        skymap = ["skymap", "--config", str(scenario), "--snapshot", str(run_out),
+                  "--alpha", "125000", "--conjugate", "--out"]
+        assert main(skymap + [str(tmp_path / "with_seed")]) == 0
+        meta_path = run_out / "snapshot_meta.json"
+        meta = json.loads(meta_path.read_text())
+        del meta["seed"]
+        meta_path.write_text(json.dumps(meta))
+        assert main(skymap + [str(tmp_path / "without_seed")]) == 0
+        for name in ("skymap.csv", "skymap.pgm", "skymap.pgm.meta"):
+            assert ((tmp_path / "with_seed" / name).read_bytes()
+                    == (tmp_path / "without_seed" / name).read_bytes())
+
+    @pytest.mark.parametrize("key", ["positions_m", "reference_freq_hz",
                                      "sample_rate_hz", "t0_s"])
     def test_snapshot_without_geometry_is_runtime_error(self, scenario, tmp_path,
                                                         capsys, key):
