@@ -5,7 +5,6 @@ antenna voltages, geometry entering as a pure phase at the reference
 frequency. Moving sources use block-constant directions.
 """
 
-import copy
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -18,10 +17,9 @@ C_LIGHT = 299792458.0
 # Moving sources hold their direction constant over blocks of this many
 # samples, evaluated at the block center.
 MOTION_BLOCK = 256
-# Samples per row block of the noise draw or column block of a static source.
-BLOCK_SAMPLES = 2 ** 16
-# Noise blocks in flight between the drawing thread and the caller.
-NOISE_BUFFERS = 8
+# The system noise comes in column blocks of about this many samples, each
+# drawn from its own stream (`Synthesizer`).
+NOISE_BLOCK_SAMPLES = 2 ** 16
 
 KIND_ASTRO = "astro"
 KIND_BPSK = "bpsk"
@@ -138,13 +136,6 @@ class ArraySnapshot:
     def n_samples(self) -> int:
         return self.data.shape[1]
 
-    def frame(self, lo, hi) -> "ArraySnapshot":
-        """Samples lo:hi in this snapshot's memory, not checked again."""
-        out = copy.copy(self)
-        out.data = self.data[:, lo:hi]
-        out.t0 = self.t0 + lo / self.sample_rate
-        return out
-
 
 def steering_vector(geom: ArrayGeometry, direction: DirectionLM) -> np.ndarray:
     """Unit-modulus phase pattern of a plane wave from `direction`."""
@@ -168,10 +159,6 @@ def source_seed(scene_seed, index):
     return np.random.SeedSequence(scene_seed, spawn_key=(1, index))
 
 
-def _noise_seed(scene_seed):
-    return np.random.SeedSequence(scene_seed, spawn_key=(0,))
-
-
 def _source_waveform(src: SourceSpec, scene: Scene, index: int) -> np.ndarray:
     reference = scene.system_noise_power if scene.system_noise_power > 0 else 1.0
     power = 10.0 ** (src.snr_db / 10.0) * reference
@@ -187,50 +174,83 @@ def _source_waveform(src: SourceSpec, scene: Scene, index: int) -> np.ndarray:
     raise ValueError(f"unknown source kind {src.kind!r}")
 
 
-def synthesize(scene: Scene) -> ArraySnapshot:
-    """Sum of steered source waveforms plus i.i.d. system noise.
+class Synthesizer:
+    """A scene's record, the sum of steered source waveforms plus i.i.d.
+    system noise, made one column range at a time.
 
-    The noise is one PCG64 stream through numpy's ziggurat, whose rejection
-    step lets the values drawn decide how much stream each takes, so one
-    thread draws it, in row blocks, while this one steers the sources; each
-    block is then added in draw order. No M x N temporary is made."""
-    geom = scene.geometry
-    m = geom.n_antennas
-    n = scene.n_samples
-    data = np.zeros((m, n), dtype=np.complex128)
-    rows = max(1, BLOCK_SAMPLES // n)
-    # Real parts first: the draw order fixes each seed's noise.
-    blocks = [(part, lo, min(lo + rows, m))
-              for part in (data.real, data.imag) if scene.system_noise_power > 0
-              for lo in range(0, m, rows)]
-    k = min(NOISE_BUFFERS, len(blocks))
-    bufs = np.empty((k, rows, n))
-    outs = [bufs[i % k, :hi - lo] for i, (_, lo, hi) in enumerate(blocks)]
-    rng = np.random.default_rng(_noise_seed(scene.seed))
-    scale = np.sqrt(scene.system_noise_power / 2.0)
-    # The pool's one thread draws the blocks in the order they are submitted,
-    # at most k ahead of the adds. On an error, the `with` waits for those.
-    with ThreadPoolExecutor(1) as pool:
-        draws = [pool.submit(rng.standard_normal, out=out) for out in outs[:k]]
+    A moving source keeps its direction over each MOTION_BLOCK block of the
+    record, a static one over each noise block. The noise comes in column
+    blocks `width` wide, a multiple of MOTION_BLOCK near NOISE_BLOCK_SAMPLES
+    samples (the last block may be narrower). Block b is drawn from
+    SeedSequence(seed, spawn_key=(0, b)), its M x w real parts first, then
+    its imaginary parts, so any column range can be made on its own and a
+    block has the same bits whichever thread draws it.
+    """
+
+    def __init__(self, scene: Scene):
+        m = scene.geometry.n_antennas
+        self.scene = scene
+        self.width = MOTION_BLOCK * max(1, NOISE_BLOCK_SAMPLES // (m * MOTION_BLOCK))
+        self._sources = []
         for index, src in enumerate(scene.sources):
-            wave = _source_waveform(src, scene, index)
-            traj = src.direction
-            block = MOTION_BLOCK
+            traj, block = src.direction, MOTION_BLOCK
             if isinstance(traj, DirectionLM):
-                # A static source: column blocks of about BLOCK_SAMPLES.
-                traj, block = TrajectorySpec(traj), max(1, BLOCK_SAMPLES // m)
+                traj, block = TrajectorySpec(traj), self.width
             # Reject trajectories that set below the horizon mid-scene.
             traj.position(scene.t0)
-            traj.position(scene.t0 + n / scene.sample_rate)
-            for start in range(0, n, block):
-                stop = min(start + block, n)
-                tc = scene.t0 + (start + stop) / 2.0 / scene.sample_rate
-                a = steering_vector(geom, traj.position(tc))
-                data[:, start:stop] += a[:, None] * wave[None, start:stop]
-        for i, (part, lo, hi) in enumerate(blocks):
-            draws[i].result()  # re-raises a failed draw here
-            outs[i] *= scale
-            part[lo:hi] += outs[i]
-            if i + k < len(blocks):
-                draws.append(pool.submit(rng.standard_normal, out=outs[i + k]))
+            traj.position(scene.t0 + scene.n_samples / scene.sample_rate)
+            self._sources.append((_source_waveform(src, scene, index), traj, block))
+        self._kept = None  # (b, noise, None): the block the last range ended inside
+
+    def fill(self, out, lo):
+        """Columns lo:lo + L of the record into `out`, an M x L array.
+
+        One worker thread draws the noise blocks that the range touches
+        while this thread steers the sources; this thread then adds the
+        blocks in order. The block the range ends inside is kept for a range
+        that starts in it, so ranges in order draw each block once."""
+        scene = self.scene
+        hi = lo + out.shape[1]
+        blocks = range(lo // self.width,
+                       -(-hi // self.width) if scene.system_noise_power > 0 else 0)
+        kept, self._kept = self._kept, None
+        draws = [kept] if kept and kept[0] in blocks else []
+        # On an error, the `with` waits for the draws in flight.
+        with ThreadPoolExecutor(1) as pool:
+            # The blocks are allocated here, where they are freed, and the
+            # worker only fills them: allocated on the worker, they made
+            # long_frames' peak RSS vary by 3 MB from run to run.
+            for b in blocks:
+                if not (kept and b == kept[0]):
+                    width = min(self.width, scene.n_samples - b * self.width)
+                    noise = np.empty((2, len(out), width))
+                    seed = np.random.SeedSequence(scene.seed, spawn_key=(0, b))
+                    rng = np.random.default_rng(seed)
+                    draws.append((b, noise, pool.submit(rng.standard_normal, out=noise)))
+            out[...] = 0.0
+            for wave, traj, block in self._sources:
+                for start in range(lo - lo % block, hi, block):
+                    stop = min(start + block, scene.n_samples)
+                    tc = scene.t0 + (start + stop) / 2.0 / scene.sample_rate
+                    a = steering_vector(scene.geometry, traj.position(tc))
+                    dest = out[:, max(start, lo) - lo:min(stop, hi) - lo]
+                    dest += a[:, None] * wave[None, max(start, lo):min(stop, hi)]
+            for b, noise, draw in draws:
+                if draw is not None:
+                    draw.result()  # a failed draw re-raises here
+                    noise *= np.sqrt(scene.system_noise_power / 2.0)
+                start = b * self.width
+                stop = start + noise.shape[2]
+                dest = out[:, max(start, lo) - lo:min(stop, hi) - lo]
+                part = noise[:, :, max(lo - start, 0):min(stop, hi) - start]
+                np.add(dest.real, part[0], out=dest.real)
+                np.add(dest.imag, part[1], out=dest.imag)
+                if hi < stop:
+                    self._kept = (b, noise, None)
+
+
+def synthesize(scene: Scene) -> ArraySnapshot:
+    """The whole record of `scene`; see `Synthesizer`."""
+    data = np.empty((scene.geometry.n_antennas, scene.n_samples), dtype=np.complex128)
+    Synthesizer(scene).fill(data, 0)
     return ArraySnapshot(data, scene.sample_rate, scene.t0)

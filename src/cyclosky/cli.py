@@ -401,39 +401,54 @@ def run_pipeline(cfg: ScenarioConfig, out_dir):
         for stale in (out / sub).glob("frame_*"):
             if stale.is_file():
                 stale.unlink()
-    for name in ("manifest.json", "schedule.json", "flagmask.csv"):
-        (out / name).unlink(missing_ok=True)
+    snapshot, partial = out / "snapshot.npy", out / "snapshot.npy.partial"
+    for path in (snapshot, partial, out / "manifest.json", out / "schedule.json",
+                 out / "flagmask.csv"):
+        path.unlink(missing_ok=True)
     scene = cfg.scene()
-    snap = arraysim.synthesize(scene)
-    np.save(out / "snapshot.npy", snap.data)
-    _write_json({"sample_rate_hz": snap.sample_rate, "t0_s": snap.t0,
+    synth = arraysim.Synthesizer(scene)
+    _write_json({"sample_rate_hz": scene.sample_rate, "t0_s": scene.t0,
                  "positions_m": cfg.geometry.positions.tolist(),
                  "reference_freq_hz": cfg.geometry.f0, "seed": cfg.seed},
                 out / "snapshot_meta.json")
 
     tracker = tracking.Tracker(cfg.tracker_cfg)
+    m, n, length = cfg.geometry.n_antennas, cfg.n_samples, cfg.frame_length
+    data = np.empty((m, length), dtype=np.complex128)  # one frame, reused
+    # Each frame is made, checked, written into the snapshot at its columns'
+    # offsets and analysed in turn. The snapshot takes its name after the
+    # last frame, so that a failed run leaves none.
     # One writer thread renders and writes each frame's maps and spectra while
     # this thread goes on with the frame's analysis, whose BLAS and FFT calls
     # release the GIL. A frame's log comes after its files are complete, and
     # the `with` waits for every submitted write, also on an error.
     # perfbench's Tracer keeps one span stack per process, so the writer
-    # calls none of the functions it wraps (no `write_*`, no `np.save`).
-    with ThreadPoolExecutor(1) as writer:
-        for idx in range(cfg.n_frames):
-            frame = snap.frame(idx * cfg.frame_length, (idx + 1) * cfg.frame_length)
-            frame_time = frame.t0
-            writes = []
-            detections = _analyze_frame(
-                cfg, frame, out, idx, lambda *task: writes.append(writer.submit(*task)))
-            for pending in writes:
-                pending.result()  # re-raises a failed write here
-            tracker.step(detections, frame_time)
-            tracking.write_frame_log(tracker.frame_record(frame_time),
-                                     out / "tracks" / f"frame_{idx:04d}.json")
-    # Kept past the run, the operator lies next to the snapshot's freed block
-    # in the heap; the next run's small allocations can then split that
-    # block, and its snapshot extends the heap by a whole snapshot instead.
-    imaging.release_operator()
+    # calls none of the functions it wraps (no `write_*`).
+    try:
+        with open(partial, "wb") as fh, ThreadPoolExecutor(1) as writer:
+            header = np.lib.format.header_data_from_array_1_0(data)
+            np.lib.format.write_array_header_1_0(fh, {**header, "shape": (m, n)})
+            head = fh.tell()
+            for idx in range(cfg.n_frames):
+                lo = idx * length
+                synth.fill(data, lo)
+                frame = arraysim.ArraySnapshot(data, scene.sample_rate,
+                                               scene.t0 + lo / scene.sample_rate)
+                for row in range(m):
+                    fh.seek(head + (row * n + lo) * data.itemsize)
+                    fh.write(data[row])
+                writes = []
+                detections = _analyze_frame(
+                    cfg, frame, out, idx, lambda *task: writes.append(writer.submit(*task)))
+                for pending in writes:
+                    pending.result()  # re-raises a failed write here
+                tracker.step(detections, frame.t0)
+                tracking.write_frame_log(tracker.frame_record(frame.t0),
+                                         out / "tracks" / f"frame_{idx:04d}.json")
+        partial.replace(snapshot)
+    finally:
+        partial.unlink(missing_ok=True)
+    imaging.release_operator()  # not held until the next run
 
     _plan(cfg, tracker.tracks, out)
 

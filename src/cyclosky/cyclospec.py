@@ -247,23 +247,27 @@ def cyclic_spectrum(snap: ArraySnapshot, alphas, conjugate=False) -> CyclicSpect
 
 
 def _local_maxima(values, valid, threshold):
-    """Indices of the local maxima of an n-D array above `threshold`: entries
-    above each neighbour before them in C order and not below each one
-    after, so that a plateau of two keeps its first entry. Invalid entries
-    and the edges are -inf neighbours."""
-    padded = np.pad(np.where(valid, values, -np.inf), 1, constant_values=-np.inf)
+    """Indices of the local maxima of an n-D array above `threshold`, in C
+    order: entries above each neighbour before them in C order and not
+    below each one after, so that a plateau of two keeps its first entry.
+    Invalid entries and the edges are -inf neighbours; a NaN neighbour
+    fails both tests. Only the valid entries above `threshold` are
+    compared with their neighbours."""
+    shape = tuple(n + 2 for n in values.shape)
+    padded = np.full(shape, -np.inf)
+    np.copyto(padded[(slice(1, -1),) * values.ndim], values, where=valid)
+    index = np.nonzero(valid & (values > threshold))
+    center = values[index]
+    keep = np.ones(center.shape, dtype=bool)
+    # Each candidate's neighbour at `shift` (its own position at all ones)
+    # lies a fixed step from its corner in the flattened padded array.
     middle = (1,) * values.ndim
-    center = padded[tuple(slice(1, -1) for _ in middle)]
-    before = np.full(values.shape, -np.inf)
-    after = np.full(values.shape, -np.inf)
+    corner = np.ravel_multi_index(index, shape)
     for shift in np.ndindex((3,) * values.ndim):
         if shift != middle:
-            neighbour = padded[tuple(slice(s, s + n) for s, n in zip(shift, values.shape))]
-            if shift < middle:
-                before = np.maximum(before, neighbour)
-            else:
-                after = np.maximum(after, neighbour)
-    return np.nonzero((center > before) & (center >= after) & (center > threshold))
+            neighbour = padded.ravel()[corner + np.ravel_multi_index(shift, shape)]
+            keep &= center > neighbour if shift < middle else center >= neighbour
+    return tuple(i[keep] for i in index)
 
 
 def signal_subspace(r0, n_samples):

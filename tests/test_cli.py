@@ -1,16 +1,18 @@
 import copy
 import filecmp
 import hashlib
+import io
 import json
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cyclosky import arraysim, cli, cyclospec, imaging, scheduling, tracking
-from cyclosky.arraysim import ArraySnapshot
+from cyclosky.arraysim import ArraySnapshot, synthesize
 from cyclosky.cli import load_scenario, main, run_pipeline
 from cyclosky.cyclospec import cyclic_corr_matrix
 from cyclosky.imaging import cyclic_skymap
@@ -558,6 +560,69 @@ class TestRun:
 
 def tree_files(root):
     return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+
+
+def streamed_doc(n_frames, length, n_antennas=48):
+    doc = copy.deepcopy(SMALL_SCENARIO)
+    doc["scene"].update(n_antennas=n_antennas, n_samples=n_frames * length)
+    doc["frames"]["length"] = length
+    doc["skymap"].update(n_l=16, n_m=16)
+    return doc
+
+
+class TestStreamedSnapshot:
+    """A run makes, checks, writes and analyses one frame at a time in one
+    reused buffer. CI also runs this class on one CPU."""
+
+    @pytest.mark.parametrize("n_frames, length", [(3, 1280), (5, 768)])
+    def test_snapshot_is_the_synthesized_record(self, tmp_path, n_frames, length):
+        # At 48 antennas a noise block is 1280 columns wide, so frames of
+        # 768 end inside blocks.
+        path = write_scenario(tmp_path, streamed_doc(n_frames, length))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        saved = io.BytesIO()
+        np.save(saved, synthesize(load_scenario(path).scene()).data)
+        assert (out / "snapshot.npy").read_bytes() == saved.getvalue()
+        assert not (out / "snapshot.npy.partial").exists()
+
+    def test_run_holds_less_than_its_record(self, tmp_path):
+        path = write_scenario(tmp_path, streamed_doc(12, 1024))
+        record = 48 * 12 * 1024 * 16
+        run = ["run", "--config", str(path), "--out"]
+        assert main(run + [str(tmp_path / "warm")]) == 0
+        tracemalloc.start()
+        try:
+            assert main(run + [str(tmp_path / "out")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < record, f"traced peak {peak} B, record {record} B"
+
+    def test_failed_run_leaves_no_snapshot(self, tmp_path, monkeypatch):
+        # Frame 2 of 4 fails. The earlier run's snapshot is gone from the
+        # start, and the run leaves neither it nor the partial file.
+        path = write_scenario(tmp_path, streamed_doc(4, 1024, n_antennas=12))
+        out = tmp_path / "out"
+        run = ["run", "--config", str(path), "--out", str(out)]
+        assert main(run) == 0
+        assert (out / "snapshot.npy").is_file()
+        spectrum = cyclospec.cyclic_spectrum
+        at_failure = []
+
+        def fail_in_frame_2(snap, *args, **kwargs):
+            if snap.t0 > 1.5 * 1024 / 1e6:
+                at_failure.append(sorted(p.name for p in out.glob("snapshot*")))
+                raise RuntimeError("injected failure")
+            return spectrum(snap, *args, **kwargs)
+
+        monkeypatch.setattr(cyclospec, "cyclic_spectrum", fail_in_frame_2)
+        assert main(run) == 3
+        assert at_failure[0] == ["snapshot.npy.partial", "snapshot_meta.json"]
+        assert not (out / "snapshot.npy").exists()
+        assert not (out / "snapshot.npy.partial").exists()
+        assert (out / "tracks" / "frame_0001.json").exists()
+        assert not (out / "tracks" / "frame_0002.json").exists()
 
 
 class TestSkymapCommand:

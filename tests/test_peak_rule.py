@@ -4,10 +4,12 @@
 local maximum above the stationary-null threshold (`null_threshold` at the
 scan's false-alarm rate split over its eligible bins), with the
 non-conjugate α = 0 bin excluded. `reference_locate` is the former body of
-`locate_peaks` (an 8-shift loop over a padded map). Both keep an entry that
-is above each neighbour before it in C order and not below each one after
-it, so a plateau of two keeps its first entry. Both finders must return
-exactly what their references return. Inputs from a few levels, one of them
+`locate_peaks` (an 8-shift loop over a padded map), and
+`reference_local_maxima` is the former full-grid body of the shared rule,
+which now compares only the entries above the threshold. All keep an entry
+that is above each neighbour before it in C order and not below each one
+after it, so a plateau of two keeps its first entry. The finders and the
+rule must return exactly what their references return. Inputs from a few levels, one of them
 the threshold itself, make plateaus and ties common, so a comparison
 turned the wrong way round shows.
 """
@@ -21,7 +23,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cyclosky.arraysim import DirectionLM
-from cyclosky.cyclospec import SCAN_PFA, CyclicSpectrum, detect_cyclic_freqs, null_threshold
+from cyclosky.cyclospec import (SCAN_PFA, CyclicSpectrum, _local_maxima, detect_cyclic_freqs,
+                                null_threshold)
 from cyclosky.imaging import Skymap, SkymapGrid, _refine_axis, locate_peaks
 
 
@@ -150,6 +153,45 @@ def test_spectrum_peaks_match_reference(inputs):
 @given(smap=skymaps(), max_peaks=st.integers(1, 6))
 def test_map_peaks_match_reference(smap, max_peaks):
     assert locate_peaks(smap, max_peaks) == reference_locate(smap, max_peaks)
+
+
+def reference_local_maxima(values, valid, threshold):
+    """The former full-grid body: the largest neighbour before and after
+    each entry, over eight shifted copies of the padded array."""
+    padded = np.pad(np.where(valid, values, -np.inf), 1, constant_values=-np.inf)
+    middle = (1,) * values.ndim
+    center = padded[tuple(slice(1, -1) for _ in middle)]
+    before = np.full(values.shape, -np.inf)
+    after = np.full(values.shape, -np.inf)
+    for shift in np.ndindex((3,) * values.ndim):
+        if shift != middle:
+            neighbour = padded[tuple(slice(s, s + n) for s, n in zip(shift, values.shape))]
+            if shift < middle:
+                before = np.maximum(before, neighbour)
+            else:
+                after = np.maximum(after, neighbour)
+    return np.nonzero((center > before) & (center >= after) & (center > threshold))
+
+
+@st.composite
+def maxima_inputs(draw):
+    """Entries from a few levels, NaN and infinities among them, some of
+    them invalid, in one to three dimensions."""
+    shape = tuple(draw(st.lists(st.integers(1, 7), min_size=1, max_size=3)))
+    level = LEVEL | st.sampled_from([np.nan, np.inf, -np.inf])
+    valid = draw(arrays(bool, shape)) | draw(st.booleans())
+    threshold = draw(st.sampled_from([-np.inf, 0.0, 1.0, 2.0, 20.0, np.nan]))
+    return draw(arrays(float, shape, elements=level)), valid, threshold
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=maxima_inputs())
+def test_local_maxima_match_full_grid_form(inputs):
+    got = _local_maxima(*inputs)
+    want = reference_local_maxima(*inputs)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 def test_map_plateau_of_two_keeps_one_peak():
