@@ -1,4 +1,6 @@
-"""Exact `%.17g` text of CSV bodies, formatted with array operations.
+"""The bytes of every artifact; the writers in `cli` and `tracking` put them in files.
+
+Exact `%.17g` text of CSV bodies, formatted with array operations.
 
 `g17_rows(values, n_cols)` returns the bytes that
 `(",".join(["%.17g"] * n_cols) + "\n") * n_rows % tuple(values)` gives.
@@ -14,6 +16,8 @@ correctly rounded digits that `%` prints (Gay 1990). X comes from log10 and
 moves by one where the digits show it a decade off (log10 rounds across a
 decade next to a power of ten) or rounded up to 10**17.
 """
+
+import json
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -120,3 +124,60 @@ def g17_rows(values, n_cols):
     step = max(1, _BLOCK // n_cols) * n_cols
     return b"".join(_block(values[i:i + step], n_cols)
                     for i in range(0, values.size, step))
+
+
+def json_bytes(doc):
+    """Strict JSON: a NaN or infinity raises ValueError."""
+    return (json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
+
+
+def skymap_csv(smap):
+    """Header line, then one row of `%.17g` values per l."""
+    g = smap.grid
+    return (f"# kind={smap.kind} alpha_hz={smap.alpha:.17g}"
+            f" l_min={g.l_min:.17g} l_max={g.l_max:.17g}"
+            f" m_min={g.m_min:.17g} m_max={g.m_max:.17g}\n".encode()
+            + g17_rows(smap.power, smap.power.shape[1]))
+
+
+def skymap_pgm(smap):
+    """A 16-bit big-endian P5 image, linearly scaled from [0, max], and the
+    text of its `.meta` sidecar, which records the scale and grid so the map
+    can be reconstructed (up to quantization)."""
+    power = smap.power
+    peak = float(power.max())
+    scaled = power / peak * 65535.0 if peak > 0 else np.zeros(power.shape)
+    img = np.rint(scaled).astype(">u2")
+    g = smap.grid
+    pgm = f"P5\n{power.shape[1]} {power.shape[0]}\n65535\n".encode() + img.tobytes()
+    meta = (f"scale={peak / 65535.0 if peak > 0 else 0.0:.17g}\n"
+            f"l_min={g.l_min:.17g}\nl_max={g.l_max:.17g}\n"
+            f"m_min={g.m_min:.17g}\nm_max={g.m_max:.17g}\n"
+            f"kind={smap.kind}\nalpha_hz={smap.alpha:.17g}\n")
+    return pgm, meta.encode()
+
+
+def spectrum_csv(spec):
+    """Two header lines, then `alpha,magnitude` rows in `%.17g`."""
+    return (f"# conjugate={str(spec.conjugate).lower()}\nalpha_hz,magnitude\n".encode()
+            + g17_rows(np.column_stack((spec.alphas, spec.magnitudes)), 2))
+
+
+def schedule_json(sched):
+    """`schedule.json`: each slot's program, pointing and risk, and the totals."""
+    slots = [{"slot": slot, "program": pid, "risk": risk,
+              "pointing": None if pos is None else [pos.l, pos.m]}
+             for slot, (pid, pos, risk) in enumerate(
+                 zip(sched.assignments, sched.pointings, sched.risk))]
+    return json_bytes({"slots": slots, "total_risk": sched.total_risk,
+                       "objective": sched.objective, "unscheduled": sched.unscheduled,
+                       "starts": {str(k): v for k, v in sorted(sched.starts.items())},
+                       "diagnostics": sched.diagnostics})
+
+
+def flag_mask_csv(mask):
+    """Header line, then one row of 0/1 flags per slot, one column per channel."""
+    rows = "".join(",".join("1" if v else "0" for v in row) + "\n" for row in mask.flags)
+    return (f"# slot_length_s={mask.slot_length:.17g}"
+            f" channel_width_hz={mask.channel_width:.17g}"
+            f" f_start_hz={mask.f_start:.17g}\n" + rows).encode()

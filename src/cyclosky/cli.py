@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, arraysim, cyclospec, imaging, scheduling, tracking
+from . import __version__, arraysim, artifacts, cyclospec, imaging, scheduling, tracking
 
 SCHEMA_VERSION = 1
 
@@ -320,19 +320,19 @@ def _require_finite(values, what, frame_idx):
 
 def _write_json(doc, path):
     """Strict JSON: a NaN or infinity raises ValueError and writes no file."""
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    path.write_bytes(artifacts.json_bytes(doc))
 
 
 def _write_skymap(smap, stem):
     """`<stem>.csv` and `<stem>.pgm` (with its `.meta` sidecar)."""
-    Path(f"{stem}.csv").write_bytes(imaging.skymap_csv(smap))
-    pgm, meta = imaging.skymap_pgm(smap)
+    Path(f"{stem}.csv").write_bytes(artifacts.skymap_csv(smap))
+    pgm, meta = artifacts.skymap_pgm(smap)
     Path(f"{stem}.pgm").write_bytes(pgm)
     Path(f"{stem}.pgm.meta").write_bytes(meta)
 
 
 def _write_spectrum(spec, path):
-    path.write_bytes(cyclospec.spectrum_csv(spec))
+    path.write_bytes(artifacts.spectrum_csv(spec))
 
 
 def _analyze_frame(cfg, frame_snap, out, frame_idx, write):
@@ -383,13 +383,13 @@ def _plan(cfg, tracks, out):
     """Schedule; write schedule.json and flagmask.csv (removed if no channels)."""
     sched = scheduling.schedule(cfg.programs, cfg.site, cfg.horizon, tracks,
                                 cfg.mode, cfg.sched_cfg)
-    scheduling.write_schedule_json(sched, out / "schedule.json")
+    (out / "schedule.json").write_bytes(artifacts.schedule_json(sched))
     path = out / "flagmask.csv"
     if cfg.channels is None:
         path.unlink(missing_ok=True)
     else:
-        scheduling.write_flag_mask_csv(scheduling.flag_mask(
-            tracks, sched, cfg.site, cfg.sched_cfg, cfg.channels), path)
+        path.write_bytes(artifacts.flag_mask_csv(scheduling.flag_mask(
+            tracks, sched, cfg.site, cfg.sched_cfg, cfg.channels)))
 
 
 def run_pipeline(cfg: ScenarioConfig, out_dir):
@@ -418,12 +418,13 @@ def run_pipeline(cfg: ScenarioConfig, out_dir):
     # Each frame is made, checked, written into the snapshot at its columns'
     # offsets and analysed in turn. The snapshot takes its name after the
     # last frame, so that a failed run leaves none.
-    # One writer thread renders and writes each frame's maps and spectra while
-    # this thread goes on with the frame's analysis, whose BLAS and FFT calls
-    # release the GIL. A frame's log comes after its files are complete, and
-    # the `with` waits for every submitted write, also on an error.
-    # perfbench's Tracer keeps one span stack per process, so the writer
-    # calls none of the functions it wraps (no `write_*`).
+    # One writer thread runs each frame's `_write_*` tasks while this thread
+    # goes on with the frame's analysis, whose BLAS and FFT calls release the
+    # GIL. A frame's log comes after its files are complete, and the `with`
+    # waits for every submitted write, also on an error. The writer calls
+    # nothing perfbench wraps: its frame clock wraps each public `cyclospec`
+    # function, its Tracer (one span stack per process) each public `write_*`
+    # of `cyclospec`, `imaging`, `tracking` and `scheduling`.
     try:
         with open(partial, "wb") as fh, ThreadPoolExecutor(1) as writer:
             header = np.lib.format.header_data_from_array_1_0(data)

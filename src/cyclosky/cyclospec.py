@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._g17 import g17_rows
 from .arraysim import ArraySnapshot
 
 # Agreement of FFT scans, folded or not, with the norm of `cyclic_corr_matrix`.
@@ -404,9 +403,3 @@ def source_count(ra: CyclicCorrMatrix, eigenvalues, eigenvectors, n_samples) -> 
     sv = np.linalg.svd(w @ ra.values @ right, compute_uv=False)
     c = min(0.5, len(w) / n_samples)
     return int(np.count_nonzero(sv > SOURCE_EDGE * 2.0 * math.sqrt(c * (1.0 - c))))
-
-
-def spectrum_csv(spec: CyclicSpectrum) -> bytes:
-    """Two header lines, then `alpha,magnitude` rows in `%.17g`."""
-    return (f"# conjugate={str(spec.conjugate).lower()}\nalpha_hz,magnitude\n".encode()
-            + g17_rows(np.column_stack((spec.alphas, spec.magnitudes)), 2))

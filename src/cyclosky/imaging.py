@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._g17 import g17_rows
 from .arraysim import C_LIGHT, ArrayGeometry, DirectionLM
 from .cyclospec import _local_maxima
 
@@ -282,31 +281,3 @@ def locate_peaks(smap: Skymap, max_peaks: int):
         peaks.append((DirectionLM(l, m), float(value)))
     peaks.sort(key=lambda p: -p[1])
     return peaks[:max_peaks]
-
-
-def skymap_csv(smap: Skymap) -> bytes:
-    """Header line, then one row of `%.17g` values per l."""
-    g = smap.grid
-    return (f"# kind={smap.kind} alpha_hz={smap.alpha:.17g}"
-            f" l_min={g.l_min:.17g} l_max={g.l_max:.17g}"
-            f" m_min={g.m_min:.17g} m_max={g.m_max:.17g}\n".encode()
-            + g17_rows(smap.power, smap.power.shape[1]))
-
-
-def skymap_pgm(smap: Skymap):
-    """A 16-bit big-endian P5 image, linearly scaled from [0, max], and the
-    text of its `.meta` sidecar, which records the scale and grid so the map
-    can be reconstructed (up to quantization)."""
-    power = smap.power
-    peak = float(power.max())
-    if peak > 0:
-        img = np.rint(power / peak * 65535.0).astype(">u2")
-    else:
-        img = np.zeros(power.shape, dtype=">u2")
-    g = smap.grid
-    pgm = f"P5\n{power.shape[1]} {power.shape[0]}\n65535\n".encode() + img.tobytes()
-    meta = (f"scale={peak / 65535.0 if peak > 0 else 0.0:.17g}\n"
-            f"l_min={g.l_min:.17g}\nl_max={g.l_max:.17g}\n"
-            f"m_min={g.m_min:.17g}\nm_max={g.m_max:.17g}\n"
-            f"kind={smap.kind}\nalpha_hz={smap.alpha:.17g}\n")
-    return pgm, meta.encode()

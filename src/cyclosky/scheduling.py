@@ -10,7 +10,6 @@ window; Exact enumerates every feasible assignment and is intended as a
 small-instance optimum (and the oracle target).
 """
 
-import json
 from dataclasses import dataclass, field
 from math import cos, exp, sin, sqrt
 
@@ -294,28 +293,3 @@ def flag_mask(tracks, sched: Schedule, site: SiteModel, cfg: SchedulerConfig,
             flags[slot] |= risk == 1.0
     return FlagMask(flags, channels.channel_width, channels.f_start,
                     site.slot_length)
-
-
-def write_schedule_json(sched: Schedule, path):
-    """Strict JSON: a NaN or infinity raises ValueError and writes no file."""
-    slots = [{"slot": slot, "program": pid, "risk": risk,
-              "pointing": None if pos is None else [pos.l, pos.m]}
-             for slot, (pid, pos, risk) in enumerate(
-                 zip(sched.assignments, sched.pointings, sched.risk))]
-    doc = {"slots": slots, "total_risk": sched.total_risk,
-           "objective": sched.objective,
-           "starts": {str(k): v for k, v in sorted(sched.starts.items())},
-           "unscheduled": sched.unscheduled,
-           "diagnostics": sched.diagnostics}
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
-def write_flag_mask_csv(mask: FlagMask, path):
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# slot_length_s={mask.slot_length:.17g}"
-                 f" channel_width_hz={mask.channel_width:.17g}"
-                 f" f_start_hz={mask.f_start:.17g}\n")
-        for row in mask.flags:
-            fh.write(",".join("1" if v else "0" for v in row) + "\n")

@@ -5,11 +5,12 @@ modelled as a degree-1 polynomial in (l, m) vs time, which is enough to
 separate the stationary / slow / fast classes and to extrapolate.
 """
 
-import json
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
+from . import artifacts
 from .arraysim import DirectionLM
 
 STATIONARY = "stationary"
@@ -227,9 +228,7 @@ class Tracker:
 
 def write_frame_log(record: dict, path):
     """Strict JSON: a NaN or infinity raises ValueError and writes no file."""
-    text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
+    Path(path).write_bytes(artifacts.json_bytes(record))
 
 
 def tracks_from_record(record: dict):
@@ -240,7 +239,7 @@ def tracks_from_record(record: dict):
     tracks = []
     for rec in record["tracks"]:
         try:
-            json.dumps([record["time"], rec], allow_nan=False)
+            artifacts.json_bytes([record["time"], rec])
         except ValueError:
             raise ValueError(f"track {rec['id']} holds a non-finite number") from None
         if rec["class"] not in (STATIONARY, SLOW, FAST, UNCLASSIFIED):

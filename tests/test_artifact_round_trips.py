@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cyclosky.arraysim import DirectionLM
-from cyclosky.scheduling import (FlagMask, Schedule, write_flag_mask_csv,
-                                 write_schedule_json)
+from cyclosky.artifacts import flag_mask_csv, schedule_json
+from cyclosky.scheduling import FlagMask, Schedule
 from cyclosky.tracking import (FAST, SLOW, STATIONARY, UNCLASSIFIED, MotionFit,
                                RfiTrack, Tracker, TrackStats, tracks_from_record,
                                write_frame_log)
@@ -73,7 +73,7 @@ class TestFrameLog:
 
 @st.composite
 def planned(draw):
-    """A Schedule with any pointings, as write_schedule_json takes it."""
+    """A Schedule with any pointings, as schedule_json takes it."""
     ids = draw(st.lists(st.integers(0, 99), min_size=1, max_size=4, unique=True))
     horizon = draw(st.integers(1, 8))
     slots = st.lists(st.none() | st.sampled_from(ids), min_size=horizon,
@@ -93,7 +93,7 @@ class TestScheduleJson:
     @settings(max_examples=60, deadline=None)
     @given(sched=planned())
     def test_round_trip(self, sched):
-        doc = json.loads(written(write_schedule_json, sched))
+        doc = json.loads(schedule_json(sched))
         slots = doc["slots"]
         assert [s["slot"] for s in slots] == list(range(len(sched.assignments)))
         assert [s["program"] for s in slots] == sched.assignments
@@ -113,7 +113,7 @@ class TestFlagMaskCsv:
            channel_width=POSITIVE, f_start=FLOAT, slot_length=POSITIVE)
     def test_round_trip(self, flags, channel_width, f_start, slot_length):
         mask = FlagMask(flags, channel_width, f_start, slot_length)
-        header, *rows = written(write_flag_mask_csv, mask).decode().splitlines()
+        header, *rows = flag_mask_csv(mask).decode().splitlines()
         meta = dict(kv.split("=") for kv in header.removeprefix("# ").split())
         assert {k: float(v) for k, v in meta.items()} == {
             "slot_length_s": slot_length, "channel_width_hz": channel_width,

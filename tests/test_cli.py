@@ -1,6 +1,7 @@
 import copy
 import filecmp
 import hashlib
+import inspect
 import io
 import json
 import threading
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cyclosky import arraysim, cli, cyclospec, imaging, scheduling, tracking
+from cyclosky import arraysim, artifacts, cli, cyclospec, imaging, scheduling, tracking
 from cyclosky.arraysim import ArraySnapshot, synthesize
 from cyclosky.cli import load_scenario, main, run_pipeline
 from cyclosky.cyclospec import cyclic_corr_matrix
@@ -492,7 +493,7 @@ class TestRun:
         threads = threading.active_count()
         assert main(["run", "--config", str(scenario), "--out", str(tmp_path / "ok")]) == 0
         assert threading.active_count() == threads
-        render = imaging.skymap_csv
+        render = artifacts.skymap_csv
         classical = []
 
         def fail_on_frame_1(smap):
@@ -502,7 +503,7 @@ class TestRun:
                     raise OSError("injected write failure")
             return render(smap)
 
-        monkeypatch.setattr(imaging, "skymap_csv", fail_on_frame_1)
+        monkeypatch.setattr(artifacts, "skymap_csv", fail_on_frame_1)
         out = tmp_path / "out"
         assert main(["run", "--config", str(scenario), "--out", str(out)]) == 3
         assert threading.active_count() == threads
@@ -513,7 +514,7 @@ class TestRun:
     def test_frame_log_follows_its_files(self, scenario, tmp_path, monkeypatch):
         # Each frame's maps and spectra are complete when its log is written.
         # Slow PGM rendering makes a log written before its join miss files.
-        log, pgm = tracking.write_frame_log, imaging.skymap_pgm
+        log, pgm = tracking.write_frame_log, artifacts.skymap_pgm
         out = tmp_path / "out"
         seen = {}
 
@@ -529,13 +530,40 @@ class TestRun:
             seen[path.stem] = sizes(path.stem)
             log(record, path)
 
-        monkeypatch.setattr(imaging, "skymap_pgm", slow_pgm)
+        monkeypatch.setattr(artifacts, "skymap_pgm", slow_pgm)
         monkeypatch.setattr(tracking, "write_frame_log", sizes_then_log)
         assert main(["run", "--config", str(scenario), "--out", str(out)]) == 0
         assert sorted(seen) == ["frame_0000", "frame_0001"]
         for frame, at_log in seen.items():
             assert len(at_log) == 8, frame  # 2 maps x 3 files, 2 spectra
             assert at_log == sizes(frame), frame
+
+    def test_writer_calls_nothing_perfbench_wraps(self, scenario, tmp_path, monkeypatch):
+        # perfbench's frame clock wraps every public `cyclospec` function, and
+        # its Tracer, one span stack per process, every public `write_*` of
+        # `cyclospec`, `imaging`, `tracking` and `scheduling`. A call from the
+        # writer thread would open a frame or a span on the wrong thread.
+        wrapped = {(cyclospec, name) for name in public_functions(cyclospec)}
+        wrapped |= {(module, name) for module in (cyclospec, imaging, tracking, scheduling)
+                    for name in public_functions(module) if name.startswith("write_")}
+        assert (tracking, "write_frame_log") in wrapped
+        calls = []
+
+        def watch(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append((threading.current_thread() is threading.main_thread(),
+                              f"{module.__name__}.{name}"))
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module, name in wrapped:
+            watch(module, name)
+        assert main(["run", "--config", str(scenario), "--out", str(tmp_path / "out")]) == 0
+        assert ("cyclosky.tracking.write_frame_log" in
+                {name for on_main, name in calls if on_main})
+        assert [name for on_main, name in calls if not on_main] == []
 
     def test_rerun_with_fewer_frames_leaves_no_stale_frames(self, tmp_path):
         def frames_doc(n_frames):
@@ -556,6 +584,41 @@ class TestRun:
         assert kept == tree_files(fresh)
         frames = {p.name[:10] for p in kept if p.name.startswith("frame_")}
         assert frames == {"frame_0000", "frame_0001", "frame_0002"}
+
+
+def public_functions(module):
+    return [name for name, obj in vars(module).items()
+            if inspect.isfunction(obj) and obj.__module__ == module.__name__
+            and not name.startswith("_")]
+
+
+def plan_with_risk(risk, path):
+    """`cli._plan` of a one-slot schedule of this risk, into `path`'s folder."""
+    cfg = load_scenario(write_scenario(path.parent.parent, SMALL_SCENARIO))
+    sched = scheduling.Schedule([None], [None], [risk], risk, 0.0, {}, [])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scheduling, "schedule", lambda *args: sched)
+        cli._plan(cfg, [], path.parent)
+
+
+JSON_WRITERS = {
+    "snapshot_meta.json": lambda value, path: cli._write_json({"t0_s": value}, path),
+    "manifest.json": lambda value, path: cli._write_json({"seed": value}, path),
+    "frame_0000.json": lambda value, path: tracking.write_frame_log(
+        {"time": value, "tracks": []}, path),
+    "schedule.json": plan_with_risk,
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", sorted(JSON_WRITERS))
+def test_json_artifacts_are_strict(tmp_path, name, value):
+    # A NaN or infinity raises before the file is opened: no file is left.
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(ValueError, match="JSON compliant"):
+        JSON_WRITERS[name](value, out / name)
+    assert list(out.iterdir()) == []
 
 
 def tree_files(root):

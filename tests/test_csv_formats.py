@@ -9,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cyclosky.cyclospec import CyclicSpectrum, spectrum_csv
-from cyclosky.imaging import Skymap, SkymapGrid, skymap_csv
+from cyclosky.artifacts import skymap_csv, spectrum_csv
+from cyclosky.cyclospec import CyclicSpectrum
+from cyclosky.imaging import Skymap, SkymapGrid
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308,
            -1e308, np.finfo(float).max, np.nan, np.inf, -np.inf, 0.1, 1 / 3]

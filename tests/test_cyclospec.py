@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from cyclosky.arraysim import (ArraySnapshot, DirectionLM, Scene, SourceSpec,
                                default_geometry, steering_vector, synthesize)
+from cyclosky.artifacts import spectrum_csv
 from cyclosky.cyclospec import (FFT_MATCH_RTOL, CyclicSpectrum, corr_matrix,
                                 cyclic_corr_matrix, cyclic_spectrum,
-                                detect_cyclic_freqs, fft_alpha_grid, signal_subspace,
-                                spectrum_csv)
+                                detect_cyclic_freqs, fft_alpha_grid, signal_subspace)
 
 
 def noise_snapshot(m, n, seed, power=1.0, fs=1e6):

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from cyclosky.arraysim import DirectionLM
+from cyclosky.artifacts import flag_mask_csv, schedule_json
 from cyclosky.scheduling import (OMEGA_SIDEREAL, ChannelGrid, Program,
                                  Schedule, SchedulerConfig, SiteModel,
                                  corruption_risk, flag_mask, schedule,
-                                 target_position, write_flag_mask_csv,
-                                 write_schedule_json)
+                                 target_position)
 from cyclosky.tracking import (FAST, MotionFit, Prediction, RfiTrack,
                                TrackerConfig, TrackStats, classify)
 
@@ -180,7 +180,7 @@ class TestSchedule:
         assert sched.assignments == [0] * 12
         assert all(np.isfinite(sched.risk))
         path = tmp_path / "schedule.json"
-        write_schedule_json(sched, path)
+        path.write_bytes(schedule_json(sched))
 
         def reject(name):
             raise ValueError(f"schedule.json holds {name}")
@@ -275,7 +275,7 @@ class TestSerialization:
                  Program(1, 0.4, -0.4, (1.419e9, 1.421e9), 1, 2.0)]
         sched = schedule(progs, self.site, 6)
         path = tmp_path / "schedule.json"
-        write_schedule_json(sched, path)
+        path.write_bytes(schedule_json(sched))
         doc = json.loads(path.read_text())
         slots = doc["slots"]
         assert [s["slot"] for s in slots] == list(range(6))
@@ -290,7 +290,7 @@ class TestSerialization:
         sched = Schedule([None], [None], [float("nan")], float("nan"), 0.0, {}, [])
         path = tmp_path / "schedule.json"
         with pytest.raises(ValueError, match="JSON compliant"):
-            write_schedule_json(sched, path)
+            path.write_bytes(schedule_json(sched))
         assert not path.exists()
 
     def test_flag_mask_csv_roundtrip(self, tmp_path):
@@ -299,7 +299,7 @@ class TestSerialization:
         from cyclosky.scheduling import FlagMask
         mask = FlagMask(flags, 2.5e5, 1.419e9, 600.0)
         path = tmp_path / "flags.csv"
-        write_flag_mask_csv(mask, path)
+        path.write_bytes(flag_mask_csv(mask))
         lines = path.read_text().splitlines()
         assert lines[0] == ("# slot_length_s=600 channel_width_hz=250000"
                             " f_start_hz=1419000000")
