@@ -40,6 +40,14 @@ class DirectionLM:
     def distance(self, other) -> float:
         return float(np.hypot(self.l - other.l, self.m - other.m))
 
+    @classmethod
+    def onto_disk(cls, l, m):
+        """(direction, outside): (l, m), or its projection onto the limb if outside."""
+        norm = np.hypot(l, m)
+        if norm > 1.0:
+            return cls(l / norm, m / norm), True
+        return cls(l, m), False
+
 
 @dataclass
 class TrajectorySpec:
@@ -202,8 +210,10 @@ class Synthesizer:
             self._sources.append((_source_waveform(src, scene, index), traj, block))
         self._kept = None  # (b, noise, None): the block the last range ended inside
 
-    def fill(self, out, lo):
-        """Columns lo:lo + L of the record into `out`, an M x L array.
+    def fill(self, out, lo) -> ArraySnapshot:
+        """Columns lo:lo + L of the record into `out`, an M x L array,
+        returned as the checked snapshot that shares `out` and starts at
+        scene.t0 + lo / sample_rate.
 
         One worker thread draws the noise blocks that the range touches
         while this thread steers the sources; this thread then adds the
@@ -247,10 +257,10 @@ class Synthesizer:
                 np.add(dest.imag, part[1], out=dest.imag)
                 if hi < stop:
                     self._kept = (b, noise, None)
+        return ArraySnapshot(out, scene.sample_rate, scene.t0 + lo / scene.sample_rate)
 
 
 def synthesize(scene: Scene) -> ArraySnapshot:
     """The whole record of `scene`; see `Synthesizer`."""
     data = np.empty((scene.geometry.n_antennas, scene.n_samples), dtype=np.complex128)
-    Synthesizer(scene).fill(data, 0)
-    return ArraySnapshot(data, scene.sample_rate, scene.t0)
+    return Synthesizer(scene).fill(data, 0)

@@ -201,10 +201,8 @@ class ScenarioConfig:
                      "missing required key")
             self.geometry = arraysim.default_geometry(
                 scene["n_antennas"], f0, self.seed, scene["aperture_wavelengths"])
-        self.n_samples = scene["n_samples"]
-        self.sample_rate = fs = scene["sample_rate_hz"]
-        self.system_noise_power = scene["system_noise_power"]
-        self.sources = []
+        n_samples, fs = scene["n_samples"], scene["sample_rate_hz"]
+        sources = []
         for i, src in enumerate(scene["sources"]):
             path = f"scene.sources[{i}]"
             if src["kind"] == arraysim.KIND_BPSK:
@@ -217,27 +215,28 @@ class ScenarioConfig:
             direction = _direction(src["direction"], path + ".direction")
             if isinstance(direction, arraysim.TrajectorySpec):
                 # The disk is convex: inside at both ends is inside throughout.
-                _build(path + ".direction.rate", direction.position,
-                       self.n_samples / fs)
-            self.sources.append(arraysim.SourceSpec(
+                _build(path + ".direction.rate", direction.position, n_samples / fs)
+            sources.append(arraysim.SourceSpec(
                 src["kind"], src["snr_db"], direction, src["baud_rate_hz"],
                 src["carrier_offset_hz"], src["freq_hz"], src["phase_rad"],
                 src["seed"]))
 
-        self.frame_length = doc["frames"]["length"] or self.n_samples
-        _require(self.n_samples % self.frame_length == 0, "frames.length",
+        self.frame_length = doc["frames"]["length"] or n_samples
+        _require(n_samples % self.frame_length == 0, "frames.length",
                  "must divide scene.n_samples")
-        self.n_frames = self.n_samples // self.frame_length
+        self.n_frames = n_samples // self.frame_length
         # Summed over a frame, z z^H must not overflow; the strongest term of
         # the power sum is named.
-        reference = self.system_noise_power or 1.0
+        reference = scene["system_noise_power"] or 1.0
         terms = [(reference, "scene.system_noise_power")] + [
             (10.0 ** (s.snr_db / 10.0) * reference, f"scene.sources[{i}].snr_db")
-            for i, s in enumerate(self.sources)]
+            for i, s in enumerate(sources)]
         load = self.frame_length * self.geometry.n_antennas * sum(p for p, _ in terms)
         _require(load < MAX_FRAME_LOAD, max(terms)[1],
                  f"frames.length x antennas x total power is {load:.3g}, "
                  f"not below {MAX_FRAME_LOAD:g}")
+        self.scene = arraysim.Scene(self.geometry, sources, n_samples, fs,
+                                    scene["system_noise_power"], self.seed)
 
         analysis = doc["analysis"]
         self.max_detections = analysis["max_detections_per_frame"]
@@ -289,10 +288,6 @@ class ScenarioConfig:
         self.channels = None if channels is None else _build(
             "scheduler.channels", scheduling.ChannelGrid, channels["f_start_hz"],
             channels["channel_width_hz"], channels["n_channels"])
-
-    def scene(self):
-        return arraysim.Scene(self.geometry, self.sources, self.n_samples,
-                              self.sample_rate, self.system_noise_power, self.seed)
 
 
 def load_scenario(path, seed_override=None) -> ScenarioConfig:
@@ -405,7 +400,7 @@ def run_pipeline(cfg: ScenarioConfig, out_dir):
     for path in (snapshot, partial, out / "manifest.json", out / "schedule.json",
                  out / "flagmask.csv"):
         path.unlink(missing_ok=True)
-    scene = cfg.scene()
+    scene = cfg.scene
     synth = arraysim.Synthesizer(scene)
     _write_json({"sample_rate_hz": scene.sample_rate, "t0_s": scene.t0,
                  "positions_m": cfg.geometry.positions.tolist(),
@@ -413,7 +408,7 @@ def run_pipeline(cfg: ScenarioConfig, out_dir):
                 out / "snapshot_meta.json")
 
     tracker = tracking.Tracker(cfg.tracker_cfg)
-    m, n, length = cfg.geometry.n_antennas, cfg.n_samples, cfg.frame_length
+    m, n, length = cfg.geometry.n_antennas, scene.n_samples, cfg.frame_length
     data = np.empty((m, length), dtype=np.complex128)  # one frame, reused
     # Each frame is made, checked, written into the snapshot at its columns'
     # offsets and analysed in turn. The snapshot takes its name after the
@@ -432,9 +427,7 @@ def run_pipeline(cfg: ScenarioConfig, out_dir):
             head = fh.tell()
             for idx in range(cfg.n_frames):
                 lo = idx * length
-                synth.fill(data, lo)
-                frame = arraysim.ArraySnapshot(data, scene.sample_rate,
-                                               scene.t0 + lo / scene.sample_rate)
+                frame = synth.fill(data, lo)
                 for row in range(m):
                     fh.seek(head + (row * n + lo) * data.itemsize)
                     fh.write(data[row])

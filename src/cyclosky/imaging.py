@@ -273,11 +273,8 @@ def locate_peaks(smap: Skymap, max_peaks: int):
             off_i, dv_i = _refine_axis(power[i - 1, j], value, power[i + 1, j])
             off_j, dv_j = _refine_axis(power[i, j - 1], value, power[i, j + 1])
             value = value + dv_i + dv_j
-        l = l_axis[i] + off_i * dl
-        m = m_axis[j] + off_j * dm
-        norm = np.hypot(l, m)
-        if norm > 1.0:
-            l, m = l / norm, m / norm
-        peaks.append((DirectionLM(l, m), float(value)))
+        direction, _ = DirectionLM.onto_disk(l_axis[i] + off_i * dl,
+                                             m_axis[j] + off_j * dm)
+        peaks.append((direction, float(value)))
     peaks.sort(key=lambda p: -p[1])
     return peaks[:max_peaks]

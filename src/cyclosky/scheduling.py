@@ -11,7 +11,7 @@ small-instance optimum (and the oracle target).
 """
 
 from dataclasses import dataclass, field
-from math import cos, exp, sin, sqrt
+from math import cos, exp, sin
 
 import numpy as np
 
@@ -53,6 +53,10 @@ class SiteModel:
             raise ValueError("latitude must lie in [-pi/2, pi/2]")
         if not self.slot_length > 0:
             raise ValueError("slot_length must be positive")
+
+    def slot_time(self, slot):
+        """Scene time (s) at which `slot` starts; slot 0 starts at time 0."""
+        return slot * self.slot_length
 
 
 @dataclass
@@ -120,17 +124,14 @@ def target_position(target, site: SiteModel, slot):
     Hour angle advances at the sidereal rate from the schedule-start LST.
     """
     ra, dec = target
-    hour_angle = site.lst0 + slot * site.slot_length * OMEGA_SIDEREAL - ra
+    hour_angle = site.lst0 + site.slot_time(slot) * OMEGA_SIDEREAL - ra
     lat = site.latitude
     sin_alt = sin(dec) * sin(lat) + cos(dec) * cos(lat) * cos(hour_angle)
     if sin_alt < 0:
         return None
     l = -cos(dec) * sin(hour_angle)
     m = sin(dec) * cos(lat) - cos(dec) * sin(lat) * cos(hour_angle)
-    norm = sqrt(l * l + m * m)
-    if norm > 1.0:
-        l, m = l / norm, m / norm
-    return DirectionLM(l, m)
+    return DirectionLM.onto_disk(l, m)[0]
 
 
 def corruption_risk(pointing: DirectionLM, freq_span, predictions,
@@ -161,11 +162,8 @@ def corruption_risk(pointing: DirectionLM, freq_span, predictions,
 
 
 def _slot_predictions(tracks, site, horizon):
-    preds = []
-    for slot in range(horizon):
-        t = slot * site.slot_length
-        preds.append([(predict(tr, t), tr.alpha) for tr in tracks])
-    return preds
+    return [[(predict(tr, site.slot_time(slot)), tr.alpha) for tr in tracks]
+            for slot in range(horizon)]
 
 
 def _program_windows(program, site, horizon, preds_by_slot, cfg):
@@ -285,7 +283,7 @@ def flag_mask(tracks, sched: Schedule, site: SiteModel, cfg: SchedulerConfig,
     for slot, pointing in enumerate(sched.pointings):
         if pointing is None:
             continue
-        t = slot * site.slot_length
+        t = site.slot_time(slot)
         for tr in fast:
             # Risk 1 means inside the exclusion core: the roll-off outside
             # it is at most exp(-1/2).

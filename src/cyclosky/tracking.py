@@ -130,13 +130,10 @@ def predict(track: RfiTrack, t: float) -> Prediction:
         span = max(stats.t_last - stats.t_first, np.finfo(float).tiny)
         horizon = max(t - stats.t_last, 0.0)
         radius = model.residual_rms * (1.0 + horizon / span)
-    l = model.l0 + model.dl_dt * t
-    m = model.m0 + model.dm_dt * t
-    norm = np.hypot(l, m)
-    if norm <= 1.0:
-        return Prediction(DirectionLM(l, m), radius)
-    # Extrapolation leaves the hemisphere: report it set, at the limb.
-    return Prediction(DirectionLM(l / norm, m / norm), radius, below_horizon=True)
+    # An extrapolation that leaves the hemisphere is reported set, at the limb.
+    direction, outside = DirectionLM.onto_disk(model.l0 + model.dl_dt * t,
+                                               model.m0 + model.dm_dt * t)
+    return Prediction(direction, radius, below_horizon=outside)
 
 
 def _gate_and_prediction(track: RfiTrack, frame_time: float, cfg: TrackerConfig):
@@ -156,19 +153,15 @@ class Tracker:
         self.tracks = []
         self.next_id = 0
 
-    def step(self, detections, frame_time=None):
-        """Greedy nearest-neighbor update for one frame of detections.
+    def step(self, detections, frame_time):
+        """Greedy nearest-neighbor update for one frame of detections made
+        at `frame_time`; a detection of another time is a ValueError.
 
-        Returns the live tracks. Detections must share a frame time; ties
-        break on (track id, detection index).
+        Returns the live tracks. Ties break on (track id, detection index).
         """
-        if detections:
-            times = {d.time for d in detections}
-            if len(times) > 1:
-                raise ValueError("detections must share one frame time")
-            frame_time = detections[0].time
-        if frame_time is None:
-            raise ValueError("frame_time is required when there are no detections")
+        for det in detections:
+            if det.time != frame_time:
+                raise ValueError(f"detection at t={det.time!r} in frame t={frame_time!r}")
         cfg = self.cfg
         candidates = {tr.id: _gate_and_prediction(tr, frame_time, cfg)
                       for tr in self.tracks}
@@ -191,12 +184,12 @@ class Tracker:
             if best is not None:
                 tr = best[1]
                 matched.add(tr.id)
-                tr.history.append((det.time, det.direction, det.power))
+                tr.history.append((frame_time, det.direction, det.power))
                 tr.misses = 0
                 classify(tr, cfg)
             else:
                 tr = RfiTrack(self.next_id, det.alpha, det.conjugate,
-                              [(det.time, det.direction, det.power)])
+                              [(frame_time, det.direction, det.power)])
                 classify(tr, cfg)
                 self.next_id += 1
                 new_tracks.append(tr)

@@ -207,7 +207,8 @@ def test_criterion_7_tracker(report):
     tracker = Tracker(TrackerConfig(s_stat=1e-6, gate_min=0.02))
     for k in range(20):
         tracker.step([Detection(float(k), 1e5, True,
-                                DirectionLM(-0.2 + dl * k, 0.1 + dm * k), 1.0)])
+                                DirectionLM(-0.2 + dl * k, 0.1 + dm * k), 1.0)],
+                     float(k))
     noiseless_ok = (len(tracker.tracks) == 1
                     and abs(tracker.tracks[0].model.dl_dt - dl) < 1e-9
                     and abs(tracker.tracks[0].model.dm_dt - dm) < 1e-9)
@@ -229,7 +230,7 @@ def test_criterion_7_tracker(report):
             tr.step([Detection(float(k), 1e5, True,
                                DirectionLM(-0.3 + 3e-3 * k + sigma * rng.standard_normal(),
                                            0.1 + 1e-3 * k + sigma * rng.standard_normal()),
-                               1.0)])
+                               1.0)], float(k))
         track = max(tr.tracks, key=lambda t: len(t.history))
         pred = predict(track, 29.0)
         err = np.hypot(pred.direction.l - (-0.3 + 3e-3 * 29),

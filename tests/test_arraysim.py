@@ -25,6 +25,13 @@ class TestDirection:
         with pytest.raises(ValueError, match="not on the unit disk"):
             DirectionLM(l, m)
 
+    def test_onto_disk(self):
+        assert DirectionLM.onto_disk(0.3, -0.4) == (DirectionLM(0.3, -0.4), False)
+        direction, outside = DirectionLM.onto_disk(-3.0, 4.0)
+        assert outside and direction == DirectionLM(-0.6, 0.8)
+        assert np.hypot(direction.l, direction.m) == pytest.approx(1.0, abs=1e-15)
+        assert DirectionLM.onto_disk(0.0, -1.0) == (DirectionLM(0.0, -1.0), False)
+
 
 class TestGeometry:
     def test_rejects_single_antenna(self):

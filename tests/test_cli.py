@@ -103,7 +103,7 @@ class TestValidation:
         # Validation bounds snr_db; raised past that bound afterwards, the
         # frame covariance overflows and the run stops at frame 0.
         cfg = load_scenario(write_scenario(tmp_path, SMALL_SCENARIO))
-        cfg.sources[0].snr_db = 3082.0
+        cfg.scene.sources[0].snr_db = 3082.0
         with np.errstate(all="ignore"), pytest.raises(
                 ValueError, match=r"frame 0: covariance has \d+ non-finite entries"):
             run_pipeline(cfg, tmp_path / "out")
@@ -298,9 +298,9 @@ class TestDefaults:
         expected = arraysim.default_geometry(4, 1.42e9, 0, 6.0)
         assert np.array_equal(cfg.geometry.positions, expected.positions)
         assert cfg.geometry.f0 == 1.42e9
-        assert (cfg.n_samples, cfg.sample_rate, cfg.system_noise_power) == (
-            512, 1e6, 1.0)
-        assert cfg.sources == [
+        assert (cfg.scene.n_samples, cfg.scene.sample_rate,
+                cfg.scene.system_noise_power) == (512, 1e6, 1.0)
+        assert cfg.scene.sources == [
             arraysim.SourceSpec("bpsk", 0.0, arraysim.DirectionLM(0.1, 0.2),
                                 baud_rate=1e5, carrier_offset=0.0, freq=0.0,
                                 phase=0.0, seed=None),
@@ -320,10 +320,10 @@ class TestDefaults:
             lam=1.0, risk_cap=0.5, exclusion_radius=0.1,
             bands={1e5: (1e9, 1.1e9)}, band_alpha_tol=1e6 / 512)
         assert cfg.channels == scheduling.ChannelGrid(1e9, 1e6, 4)
-        for value in (cfg.sources[0].snr_db, cfg.site.slot_length,
+        for value in (cfg.scene.sources[0].snr_db, cfg.site.slot_length,
                       cfg.programs[0].priority, cfg.tracker_cfg.alpha_tol):
             assert type(value) is float
-        for value in (cfg.n_samples, cfg.frame_length, cfg.horizon,
+        for value in (cfg.scene.n_samples, cfg.frame_length, cfg.horizon,
                       cfg.max_detections, cfg.programs[0].duration):
             assert type(value) is int
 
@@ -332,7 +332,7 @@ class TestDefaults:
         del doc["programs"], doc["scheduler"]
         doc["scene"]["sources"] = []
         cfg = load_scenario(write_scenario(tmp_path, doc))
-        assert cfg.sources == [] and cfg.programs == []
+        assert cfg.scene.sources == [] and cfg.programs == []
         assert cfg.channels is None
         assert cfg.sched_cfg.bands == {}
 
@@ -342,7 +342,7 @@ class TestDefaults:
         doc["scheduler"]["channels"] = None
         doc["scene"]["positions_m"] = None
         cfg = load_scenario(write_scenario(tmp_path, doc))
-        assert cfg.sources[0].seed is None
+        assert cfg.scene.sources[0].seed is None
         assert cfg.tracker_cfg.alpha_tol == 1e6 / 512
         assert cfg.channels is None
         assert cfg.geometry.n_antennas == 4
@@ -645,9 +645,12 @@ class TestStreamedSnapshot:
         out = tmp_path / "out"
         assert main(["run", "--config", str(path), "--out", str(out)]) == 0
         saved = io.BytesIO()
-        np.save(saved, synthesize(load_scenario(path).scene()).data)
+        np.save(saved, synthesize(load_scenario(path).scene).data)
         assert (out / "snapshot.npy").read_bytes() == saved.getvalue()
         assert not (out / "snapshot.npy.partial").exists()
+        for k in range(n_frames):
+            log = json.loads((out / "tracks" / f"frame_{k:04d}.json").read_bytes())
+            assert log["time"] == k * length / 1e6
 
     def test_run_holds_less_than_its_record(self, tmp_path):
         path = write_scenario(tmp_path, streamed_doc(12, 1024))

@@ -267,6 +267,43 @@ class TestFlagMask:
         assert np.all(wide.flags | ~narrow.flags)
 
 
+class LateSite(SiteModel):
+    """A site whose slot s starts when slot s + 2 of the plain site does."""
+
+    def slot_time(self, slot):
+        return super().slot_time(slot) + 2 * self.slot_length
+
+
+def test_slot_time_is_the_one_slot_clock():
+    # target_position, the per-slot risks of `schedule` and `flag_mask` all
+    # move with `slot_time`: none of them keeps its own slot product.
+    site = SiteModel(latitude=-0.5, slot_length=10.0)
+    late = LateSite(latitude=-0.5, slot_length=10.0)
+    # A fast mover crossing the zenith pointing at 0.1 per slot, at t = 30 s.
+    track = make_track(0, [(float(t), -0.3 + 0.01 * t, 0.0) for t in range(-4, 1)],
+                       s_fast=1e-3)
+    cfg = SchedulerConfig(risk_cap=1.0, exclusion_radius=0.15,
+                          bands={1.25e5: (1.4195e9, 1.42e9)})
+    channels = ChannelGrid(f_start=1.419e9, channel_width=2.5e5, n_channels=8)
+
+    def plan(where, horizon):
+        program = Program(0, ra=0.0, dec=-0.5, freq_span=(1.419e9, 1.421e9),
+                          duration=horizon, priority=1.0)
+        sched = schedule([program], where, horizon, [track], cfg=cfg)
+        return sched, flag_mask([track], sched, where, cfg, channels).flags
+
+    (plain, plain_flags), (moved, moved_flags) = plan(site, 7), plan(late, 5)
+    for slot in range(5):
+        assert target_position((0.0, -0.5), late, slot) == target_position(
+            (0.0, -0.5), site, slot + 2)
+    # Two slots later the risks and flags differ, so a shift shows.
+    assert plain.risk[2:] != plain.risk[:5]
+    assert moved.pointings == plain.pointings[2:]
+    assert moved.risk == plain.risk[2:]
+    assert np.array_equal(moved_flags, plain_flags[2:])
+    assert moved_flags[:, 2].tolist() == [True, True, True, False, False]
+
+
 class TestSerialization:
     site = SiteModel(latitude=-0.5, slot_length=3600.0)
 

@@ -106,7 +106,7 @@ def test_record_narrower_than_a_block_matches_reference(noise):
 
 @pytest.mark.parametrize("seed", [3, 3001])
 def test_fig4_scene_matches_former_body(seed):
-    assert_same_bits(load_scenario(FIG4, seed_override=seed).scene())
+    assert_same_bits(load_scenario(FIG4, seed_override=seed).scene)
 
 
 @pytest.mark.parametrize("m", [2, 13, 49])
@@ -159,6 +159,22 @@ def test_fill_in_frames_draws_each_block_once(length, monkeypatch):
     assert sorted(drawn) == list(range(5))  # 5200 columns: 4 blocks and 80
 
 
+def test_fill_returns_the_checked_frame_with_its_start_time():
+    scene = Scene(default_geometry(48, 1.42e9, 6), sources("mixed"), 5200, 1e6, 1.0,
+                  seed=6, t0=1e-3)
+    synth = Synthesizer(scene)
+    lo = 1000
+    assert lo % synth.width
+    out = np.empty((48, 700), dtype=np.complex128)
+    frame = synth.fill(out, lo)
+    assert frame.data is out
+    assert (frame.sample_rate, frame.t0) == (1e6, scene.t0 + lo / scene.sample_rate)
+    nan_tone = SourceSpec("cw", 0.0, DirectionLM(0.0, 0.0), freq=1e3, phase=np.nan)
+    scene = Scene(default_geometry(8, 1.42e9, 6), [nan_tone], 512, 1e6, 1.0)
+    with pytest.raises(ValueError, match="non-finite samples"):
+        Synthesizer(scene).fill(np.empty((8, 256), dtype=np.complex128), 256)
+
+
 def test_fill_any_range_on_its_own():
     geom = default_geometry(48, 1.42e9, 6)
     scene = Scene(geom, sources("mixed"), 5200, 1e6, 1.0, seed=6)
@@ -190,7 +206,7 @@ class OnTheCaller:
 
 
 def test_drawing_on_the_calling_thread_gives_the_same_bits(monkeypatch):
-    scene = load_scenario(FIG4, seed_override=5).scene()
+    scene = load_scenario(FIG4, seed_override=5).scene
     want = synthesize(scene).data
     monkeypatch.setattr(arraysim, "ThreadPoolExecutor", OnTheCaller)
     assert same_bits(synthesize(scene).data, want)

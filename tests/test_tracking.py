@@ -18,7 +18,7 @@ def linear_track(n, l0, m0, dl, dm, dt=1.0, t0=0.0, **kw):
     tr = Tracker(TrackerConfig(**kw)) if kw else Tracker()
     for k in range(n):
         t = t0 + k * dt
-        tr.step([det(t, l0 + dl * t, m0 + dm * t)])
+        tr.step([det(t, l0 + dl * t, m0 + dm * t)], t)
     return tr
 
 
@@ -106,7 +106,7 @@ class TestPredict:
         tr = Tracker(TrackerConfig(s_stat=1e-6))
         for k in range(10):
             tr.step([det(float(k), 2e-3 * k + 1e-4 * rng.standard_normal(),
-                         1e-4 * rng.standard_normal())])
+                         1e-4 * rng.standard_normal())], float(k))
         track = tr.tracks[0]
         r_near = predict(track, 10.0).radius
         r_far = predict(track, 100.0).radius
@@ -129,52 +129,50 @@ class TestPredict:
 class TestAssociate:
     def test_spawn_then_extend(self):
         tr = Tracker()
-        tr.step([det(0.0, 0.1, 0.1)])
-        tr.step([det(1.0, 0.101, 0.1)])
+        tr.step([det(0.0, 0.1, 0.1)], 0.0)
+        tr.step([det(1.0, 0.101, 0.1)], 1.0)
         assert len(tr.tracks) == 1
         assert tr.tracks[0].history[-1][0] == 1.0
 
     def test_alpha_separates_tracks(self):
         tr = Tracker(TrackerConfig(alpha_tol=10.0))
-        tr.step([det(0.0, 0.1, 0.1, alpha=1e5), det(0.0, 0.1, 0.1, alpha=2e5)])
-        tr.step([det(1.0, 0.1, 0.1, alpha=1e5), det(1.0, 0.1, 0.1, alpha=2e5)])
+        tr.step([det(0.0, 0.1, 0.1, alpha=1e5), det(0.0, 0.1, 0.1, alpha=2e5)], 0.0)
+        tr.step([det(1.0, 0.1, 0.1, alpha=1e5), det(1.0, 0.1, 0.1, alpha=2e5)], 1.0)
         assert sorted(len(t.history) for t in tr.tracks) == [2, 2]
 
     def test_conjugate_flag_separates_tracks(self):
         tr = Tracker()
         tr.step([det(0.0, 0.1, 0.1, conjugate=True),
-                 det(0.0, 0.1, 0.1, conjugate=False)])
+                 det(0.0, 0.1, 0.1, conjugate=False)], 0.0)
         assert len(tr.tracks) == 2
 
     def test_far_detection_spawns_new_track(self):
         tr = Tracker(TrackerConfig(gate_min=0.01))
-        tr.step([det(0.0, 0.1, 0.1)])
-        tr.step([det(1.0, 0.5, 0.5)])
+        tr.step([det(0.0, 0.1, 0.1)], 0.0)
+        tr.step([det(1.0, 0.5, 0.5)], 1.0)
         assert len(tr.tracks) == 2
 
     def test_missed_track_retired(self):
         tr = Tracker()
-        tr.step([det(0.0, 0.1, 0.1)])
+        tr.step([det(0.0, 0.1, 0.1)], 0.0)
         for k in range(1, DROP_AFTER + 1):
             tr.step([], frame_time=float(k))
         assert [t.misses for t in tr.tracks] == [DROP_AFTER]
         tr.step([], frame_time=DROP_AFTER + 1.0)
         assert tr.tracks == []
 
-    def test_mixed_frame_times_rejected(self):
+    def test_step_needs_the_frame_time_of_its_detections(self):
         tr = Tracker()
-        with pytest.raises(ValueError):
-            tr.step([det(0.0, 0.1, 0.1), det(1.0, 0.1, 0.1)])
-
-    def test_empty_frame_needs_time(self):
-        tr = Tracker()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="in frame t=0.0"):
+            tr.step([det(0.0, 0.1, 0.1), det(1.0, 0.1, 0.1)], 0.0)
+        with pytest.raises(TypeError):
             tr.step([])
+        assert tr.tracks == []
 
     def test_nearest_track_wins(self):
         tr = Tracker(TrackerConfig(gate_min=0.2))
-        tr.step([det(0.0, 0.0, 0.0), det(0.0, 0.1, 0.0)])
-        tr.step([det(1.0, 0.02, 0.0)])
+        tr.step([det(0.0, 0.0, 0.0), det(0.0, 0.1, 0.0)], 0.0)
+        tr.step([det(1.0, 0.02, 0.0)], 1.0)
         # Both tracks are inside the gate; the nearer one gets the detection.
         near = next(t for t in tr.tracks if t.id == 0)
         far = next(t for t in tr.tracks if t.id == 1)
@@ -189,7 +187,7 @@ class TestAssociate:
                 dets = [det(float(k), 1e-3 * k + 5e-4 * rng.standard_normal(),
                             0.2 + 5e-4 * rng.standard_normal()),
                         det(float(k), -0.4, -0.4, alpha=3e5)]
-                tr.step(dets)
+                tr.step(dets, float(k))
             return tr.frame_record(11.0)
 
         assert run() == run()
@@ -205,7 +203,7 @@ class TestTrackingMonteCarlo:
             for k in range(20):
                 tr.step([det(float(k),
                              -0.3 + 3e-3 * k + sigma * rng.standard_normal(),
-                             0.1 + sigma * rng.standard_normal())])
+                             0.1 + sigma * rng.standard_normal())], float(k))
             if len(tr.tracks) == 1 and len(tr.tracks[0].history) == 20:
                 track = tr.tracks[0]
                 if track.track_class in (SLOW, FAST):
