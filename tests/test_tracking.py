@@ -161,10 +161,14 @@ class TestAssociate:
         tr.step([], frame_time=DROP_AFTER + 1.0)
         assert tr.tracks == []
 
-    def test_step_needs_the_frame_time_of_its_detections(self):
+    def test_mixed_frame_times_rejected(self):
         tr = Tracker()
         with pytest.raises(ValueError, match="in frame t=0.0"):
             tr.step([det(0.0, 0.1, 0.1), det(1.0, 0.1, 0.1)], 0.0)
+        assert tr.tracks == []
+
+    def test_empty_frame_needs_time(self):
+        tr = Tracker()
         with pytest.raises(TypeError):
             tr.step([])
         assert tr.tracks == []
