@@ -330,48 +330,33 @@ def _write_spectrum(spec, path):
     path.write_bytes(artifacts.spectrum_csv(spec))
 
 
-def _analyze_frame(cfg, frame_snap, out, frame_idx, write):
-    """One detection / imaging cycle; returns the frame's detections.
-
-    Both alpha-scans run on the frame's signal subspace, y = U_r^H z, each
-    tested against its own stationary null; each hit is imaged on all
-    antennas and gives as many map peaks as it has sources, up to
-    `max_peaks`. The frame's map and spectrum files go to `write(fn, *args)`.
-    """
-    detections = []
-    r = cyclospec.corr_matrix(frame_snap)
-    _require_finite(r, "covariance", frame_idx)
-    write(_write_skymap, imaging.skymap(r, cfg.geometry, cfg.skymap_grid),
-          out / "skymaps" / f"frame_{frame_idx:04d}_classical")
-    n = frame_snap.n_samples
+def _scan(frame, r, frame_idx):
+    """Both alpha-scans on the signal subspace y = U_r^H z, each against its own
+    stationary null: (lam, U, {label: spectrum}, hits strongest first)."""
+    n = frame.n_samples
     lam, vecs, rank = cyclospec.signal_subspace(r, n)
-    subspace = arraysim.ArraySnapshot(vecs[:, :rank].conj().T @ frame_snap.data,
-                                      frame_snap.sample_rate, frame_snap.t0)
-    hits = []
-    for conjugate in (False, True):
+    subspace = arraysim.ArraySnapshot(vecs[:, :rank].conj().T @ frame.data,
+                                      frame.sample_rate, frame.t0)
+    spectra, hits = {}, []
+    for label, conjugate in (("nonconj", False), ("conj", True)):
         grid = cyclospec.fft_alpha_grid(subspace, conjugate)
-        spec = cyclospec.cyclic_spectrum(subspace, grid, conjugate)
-        label = "conj" if conjugate else "nonconj"
+        spec = spectra[label] = cyclospec.cyclic_spectrum(subspace, grid, conjugate)
         _require_finite(spec.magnitudes, f"{label} spectrum", frame_idx)
-        write(_write_spectrum, spec,
-              out / "spectra" / f"frame_{frame_idx:04d}_{label}.csv")
-        for alpha, mag in cyclospec.detect_cyclic_freqs(spec, lam[:rank], n):
-            hits.append((conjugate, alpha, mag))
+        hits += [(conjugate, alpha, mag) for alpha, mag
+                 in cyclospec.detect_cyclic_freqs(spec, lam[:rank], n)]
     hits.sort(key=lambda h: -h[2])
-    first = True
+    return lam, vecs, spectra, hits
+
+
+def _imaged_hits(cfg, frame, lam, vecs, hits):
+    """(cyclic map, detections) of each of the strongest hits with sources."""
     for conjugate, alpha, _ in hits[:cfg.max_detections]:
-        ra = cyclospec.cyclic_corr_matrix(frame_snap, alpha, conjugate)
-        sources = cyclospec.source_count(ra, lam, vecs, n)
-        if sources == 0:
-            continue
-        cmap = imaging.cyclic_skymap(ra, cfg.geometry, cfg.skymap_grid)
-        if first:
-            write(_write_skymap, cmap, out / "skymaps" / f"frame_{frame_idx:04d}_cyclic")
-            first = False
-        for direction, power in imaging.locate_peaks(cmap, min(sources, cfg.max_peaks)):
-            detections.append(tracking.Detection(frame_snap.t0, alpha, conjugate,
-                                                 direction, power))
-    return detections
+        ra = cyclospec.cyclic_corr_matrix(frame, alpha, conjugate)
+        sources = cyclospec.source_count(ra, lam, vecs, frame.n_samples)
+        if sources:
+            cmap = imaging.cyclic_skymap(ra, cfg.geometry, cfg.skymap_grid)
+            peaks = imaging.locate_peaks(cmap, min(sources, cfg.max_peaks))
+            yield cmap, [tracking.Detection(frame.t0, alpha, conjugate, *p) for p in peaks]
 
 
 def _plan(cfg, tracks, out):
@@ -411,15 +396,16 @@ def run_pipeline(cfg: ScenarioConfig, out_dir):
     m, n, length = cfg.geometry.n_antennas, scene.n_samples, cfg.frame_length
     data = np.empty((m, length), dtype=np.complex128)  # one frame, reused
     # Each frame is made, checked, written into the snapshot at its columns'
-    # offsets and analysed in turn. The snapshot takes its name after the
-    # last frame, so that a failed run leaves none.
-    # One writer thread runs each frame's `_write_*` tasks while this thread
-    # goes on with the frame's analysis, whose BLAS and FFT calls release the
-    # GIL. A frame's log comes after its files are complete, and the `with`
-    # waits for every submitted write, also on an error. The writer calls
-    # nothing perfbench wraps: its frame clock wraps each public `cyclospec`
-    # function, its Tracer (one span stack per process) each public `write_*`
-    # of `cyclospec`, `imaging`, `tracking` and `scheduling`.
+    # offsets and analysed in turn; the snapshot takes its name after the
+    # last frame, so that a failed run leaves none. The stages return data;
+    # this loop alone names each frame's files and submits each to one writer
+    # thread once it exists: the classical map before the scans, the spectra
+    # after them, the first cyclic map before the next hit is imaged (at the
+    # frame's end it took many_frames 10 % longer). A frame's log follows its
+    # files, and the `with` waits for every write, also on an error. The
+    # writer calls nothing perfbench wraps: its frame clock wraps each public
+    # `cyclospec` function, its Tracer (one span stack per process) each
+    # public `write_*` of `cyclospec`, `imaging`, `tracking` and `scheduling`.
     try:
         with open(partial, "wb") as fh, ThreadPoolExecutor(1) as writer:
             header = np.lib.format.header_data_from_array_1_0(data)
@@ -431,14 +417,28 @@ def run_pipeline(cfg: ScenarioConfig, out_dir):
                 for row in range(m):
                     fh.seek(head + (row * n + lo) * data.itemsize)
                     fh.write(data[row])
-                writes = []
-                detections = _analyze_frame(
-                    cfg, frame, out, idx, lambda *task: writes.append(writer.submit(*task)))
+                name = f"frame_{idx:04d}"
+                r = cyclospec.corr_matrix(frame)
+                _require_finite(r, "covariance", idx)
+                classical = imaging.skymap(r, cfg.geometry, cfg.skymap_grid)
+                writes = [writer.submit(_write_skymap, classical,
+                                        out / "skymaps" / f"{name}_classical")]
+                lam, vecs, spectra, hits = _scan(frame, r, idx)
+                writes += [writer.submit(_write_spectrum, spec,
+                                         out / "spectra" / f"{name}_{label}.csv")
+                           for label, spec in spectra.items()]
+                detections = []
+                imaged = _imaged_hits(cfg, frame, lam, vecs, hits)
+                for k, (cmap, found) in enumerate(imaged):
+                    if k == 0:  # the strongest imaged hit's map is written
+                        writes.append(writer.submit(_write_skymap, cmap,
+                                                    out / "skymaps" / f"{name}_cyclic"))
+                    detections += found
                 for pending in writes:
                     pending.result()  # re-raises a failed write here
                 tracker.step(detections, frame.t0)
                 tracking.write_frame_log(tracker.frame_record(frame.t0),
-                                         out / "tracks" / f"frame_{idx:04d}.json")
+                                         out / "tracks" / f"{name}.json")
         partial.replace(snapshot)
     finally:
         partial.unlink(missing_ok=True)

@@ -108,6 +108,23 @@ class TestValidation:
                 ValueError, match=r"frame 0: covariance has \d+ non-finite entries"):
             run_pipeline(cfg, tmp_path / "out")
 
+    def test_non_finite_spectrum_fails_loudly(self, scenario, tmp_path, monkeypatch,
+                                              capsys):
+        # A NaN in a scan would give no hits and silently no tracks.
+        spectrum = cyclospec.cyclic_spectrum
+
+        def nan_in_conj(snap, alphas, conjugate=False):
+            spec = spectrum(snap, alphas, conjugate)
+            if conjugate:
+                spec.magnitudes[1] = np.nan
+            return spec
+
+        monkeypatch.setattr(cyclospec, "cyclic_spectrum", nan_in_conj)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(scenario), "--out", str(out)]) == 3
+        assert "frame 0: conj spectrum has 1 non-finite entries" in capsys.readouterr().err
+        assert not (out / "tracks" / "frame_0000.json").exists()
+
     def test_snr_db_just_below_the_bound_runs_clean(self, tmp_path):
         # frames.length x antennas x power = 1024 x 12 x 10**145.9 = 9.8e149,
         # just below the 1e150 bound (BAD_SCENARIOS holds 1530 and 3082).
@@ -537,6 +554,48 @@ class TestRun:
         for frame, at_log in seen.items():
             assert len(at_log) == 8, frame  # 2 maps x 3 files, 2 spectra
             assert at_log == sizes(frame), frame
+
+    def test_writes_overlap_the_analysis(self, tmp_path, monkeypatch):
+        # Frame 0's classical map starts rendering before its first scan
+        # returns, and its first cyclic map before the next hit is imaged. A
+        # check waits up to 10 s for the writer, so writes held back to the
+        # frame's end fail the test rather than hang it. The CW gives frame 0
+        # a second imaged hit.
+        doc = copy.deepcopy(SMALL_SCENARIO)
+        doc["scene"]["sources"].append({"kind": "cw", "snr_db": 3.0, "freq_hz": -1.5625e5,
+                                        "direction": {"l": -0.3, "m": 0.5}})
+        render, spectrum = artifacts.skymap_csv, cyclospec.cyclic_spectrum
+        corr, cyclic_map = cyclospec.cyclic_corr_matrix, imaging.cyclic_skymap
+        rendering = {"classical": threading.Event(), "cyclic": threading.Event()}
+        started, imaged = {}, []
+
+        def watched_render(smap):
+            rendering["classical" if smap.kind == "classical" else "cyclic"].set()
+            return render(smap)
+
+        def checked_spectrum(snap, *args, **kwargs):
+            result = spectrum(snap, *args, **kwargs)
+            if snap.t0 == 0 and "classical" not in started:
+                started["classical"] = rendering["classical"].wait(10)
+            return result
+
+        def checked_corr(snap, *args, **kwargs):
+            if snap.t0 == 0 and imaged and "cyclic" not in started:
+                started["cyclic"] = rendering["cyclic"].wait(10)
+            return corr(snap, *args, **kwargs)
+
+        def counted_map(*args, **kwargs):
+            imaged.append(True)
+            return cyclic_map(*args, **kwargs)
+
+        monkeypatch.setattr(artifacts, "skymap_csv", watched_render)
+        monkeypatch.setattr(cyclospec, "cyclic_spectrum", checked_spectrum)
+        monkeypatch.setattr(cyclospec, "cyclic_corr_matrix", checked_corr)
+        monkeypatch.setattr(imaging, "cyclic_skymap", counted_map)
+        path = write_scenario(tmp_path, doc)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        # A missing "cyclic" key means frame 0 imaged fewer than two hits.
+        assert started == {"classical": True, "cyclic": True}
 
     def test_writer_calls_nothing_perfbench_wraps(self, scenario, tmp_path, monkeypatch):
         # perfbench's frame clock wraps every public `cyclospec` function, and

@@ -9,51 +9,20 @@ frame of its last point, a position within one pixel pitch.
 """
 
 import json
+import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from cyclosky.cli import load_scenario, main
 from cyclosky.scheduling import corruption_risk, schedule, target_position
 from cyclosky.tracking import STATIONARY, MotionFit, RfiTrack, TrackStats, predict
 
-SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "fig4.scenario"
-
-
-def emitters(doc):
-    """(conjugate alpha, direction) of each BPSK and CW source of a
-    fixed-source scene: twice the carrier or tone, folded into [0, fs)."""
-    fs = doc["scene"]["sample_rate_hz"]
-    found = []
-    for src in doc["scene"]["sources"]:
-        offset = {"bpsk": src.get("carrier_offset_hz", 0.0),
-                  "cw": src.get("freq_hz", 0.0)}.get(src["kind"])
-        if offset is not None:
-            found.append(((2.0 * offset) % fs, src["direction"]))
-    return found
-
-
-def score(doc, record):
-    """(emitters found, emitters, true tracks, live tracks) of a fixed-source
-    scene at its last frame; BPSK and CW sources are the emitters."""
-    alpha_step = doc["scene"]["sample_rate_hz"] / doc["frames"]["length"]
-    sky = doc["skymap"]
-    pitch = max((sky["l_max"] - sky["l_min"]) / (sky["n_l"] - 1),
-                (sky["m_max"] - sky["m_min"]) / (sky["n_m"] - 1))
-    truth = emitters(doc)
-    found = set()
-    true_tracks = 0
-    for track in record["tracks"]:
-        hit = False
-        for k, (alpha, direction) in enumerate(truth):
-            if (track["conjugate"] and abs(track["alpha_hz"] - alpha) <= alpha_step
-                    and np.hypot(track["position"][0] - direction["l"],
-                                 track["position"][1] - direction["m"]) <= pitch):
-                found.add(k)
-                hit = True
-        true_tracks += hit
-    return len(found), len(truth), true_tracks, len(record["tracks"])
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO = ROOT / "scenarios" / "fig4.scenario"
+# The benchmark's truth scorer is the one scorer; it also handles movers.
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import emitters, score_tracks  # noqa: E402
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -63,16 +32,16 @@ def test_fig4_ends_with_the_true_track_alone(seed, tmp_path):
                  "--out", str(out)]) == 0
     doc = json.loads(SCENARIO.read_bytes())
     last = sorted((out / "tracks").glob("frame_*.json"))[-1]
-    assert score(doc, json.loads(last.read_bytes())) == (1, 1, 1, 1)
+    assert score_tracks(doc, json.loads(last.read_bytes())) == (1, 1, 1, 1)
 
 
 def oracle_tracks(doc):
     """One stationary track per emitter at its true direction and alpha,
     fitted exactly: zero residual, model and stats at that position."""
     tracks = []
-    for k, (alpha, direction) in enumerate(emitters(doc)):
+    for k, (conjugate, alpha, direction) in enumerate(emitters(doc)):
         l, m = direction["l"], direction["m"]
-        tracks.append(RfiTrack(k, alpha, True, [], STATIONARY,
+        tracks.append(RfiTrack(k, alpha, conjugate, [], STATIONARY,
                                MotionFit(l, m, 0.0, 0.0, 0.0), TrackStats(0.0, 0.0, l, m)))
     return tracks
 
@@ -85,7 +54,7 @@ def true_risk(assignments, cfg, truth):
     for slot, pid in enumerate(assignments):
         if pid is not None:
             p = programs[pid]
-            t = slot * cfg.site.slot_length
+            t = cfg.site.slot_time(slot)
             total += corruption_risk(target_position((p.ra, p.dec), cfg.site, slot),
                                      p.freq_span,
                                      [(predict(tr, t), tr.alpha) for tr in truth],
